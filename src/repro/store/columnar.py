@@ -66,7 +66,12 @@ Stores are immutable. :meth:`ColumnStore.patched` produces the next
 generation copy-on-write, mirroring ``AttrIndex.patched``: removals
 only set tombstone bits (scan results are masked, arrays never shrink
 eagerly), additions append, and past a drift threshold the store
-rebuilds compactly. Classification is fully iterative and the
+rebuilds compactly. A column's lazily built state — eq-index,
+possible-value index, scan memo — lives as long as its positions do:
+the successor inherits it (extended by the appended rows where they
+reach the column), and only the compacting rebuild, which renumbers
+positions, starts from nothing. The store-level memos never cross a
+generation. Classification is fully iterative and the
 entry points are routed through :mod:`repro.core.guard`, so
 pathologically deep objects cannot blow the recursion limit — a tuple
 chain deeper than :data:`DEFAULT_SHRED_DEPTH` simply truncates into an
@@ -320,6 +325,14 @@ class Column:
         the hash-join build side and the group-by kernel read it
         directly (one bitset per distinct value, no per-row dispatch).
         Returned dict is shared and must not be mutated.
+
+        Lifetime: once built, the index outlives this column's
+        generation. :meth:`ColumnStore.patched` hands the same dict to
+        the successor when the appended rows leave this path alone, and
+        a copy with the appended rows' bitsets shifted in when they
+        reach it. A successor whose parent never built the index builds
+        its own on first use. Tombstoned positions keep their bits here;
+        the store masks them at query time.
         """
         self.eq_bits(0)  # force the lazy build
         return self._eq_index
@@ -381,6 +394,24 @@ class Column:
             index = self._ordered_index = _sorted_ranges(self.eq_index())
         return index
 
+    def _memoized(self, key: tuple) -> int:
+        """``key[0](self, key)`` through the scan memo.
+
+        A memo key is ``(scan, *operands)`` where ``scan`` is one of the
+        module's ``_scan_*`` functions: a position-wise function of the
+        column's entries, so :meth:`ColumnStore.patched` can extend any
+        entry by running its scan on the appended rows alone. Readers
+        race benignly on the memo (equal values, capped by clearing).
+        """
+        memo = self._scan_memo
+        bits = memo.get(key)
+        if bits is None:
+            bits = key[0](self, key)
+            if len(memo) >= _SCAN_MEMO_CAP:
+                memo.clear()
+            memo[key] = bits
+        return bits
+
     def ordered_bits(self, op_name: str, bound) -> int:
         """Unmasked positions whose scalar entry satisfies the ordered
         comparison; type-specialized like the compiled row predicate
@@ -389,15 +420,7 @@ class Column:
         Answered from the sorted range index: O(log distinct) bisect
         plus one OR per matching distinct value, independent of row
         count."""
-        memo_key = ("o", op_name, type(bound), bound)
-        cached = self._scan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        bits = _range_bits(self._range_index(), op_name, bound)
-        if len(self._scan_memo) >= _SCAN_MEMO_CAP:
-            self._scan_memo.clear()
-        self._scan_memo[memo_key] = bits
-        return bits
+        return self._memoized((_scan_ordered, op_name, type(bound), bound))
 
     def possible_index(self) -> tuple[dict, int]:
         """``(buckets, fallback_bits)`` over the irregular entries'
@@ -455,69 +478,133 @@ class Column:
     def possible_differs_bits(self, primitive) -> int:
         """Irregular positions where some possible atom value differs
         from ``primitive`` — the existential reading of ``Ne``."""
-        memo_key = ("pd", type(primitive), primitive)
-        cached = self._scan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        target = (type(primitive), primitive)
-        bits = 0
-        for key, chunk in self.possible_index()[0].items():
-            if key != target:
-                bits |= chunk
-        if len(self._scan_memo) >= _SCAN_MEMO_CAP:
-            self._scan_memo.clear()
-        self._scan_memo[memo_key] = bits
-        return bits
+        return self._memoized((_scan_possible_differs, type(primitive),
+                               primitive))
 
     def possible_ordered_bits(self, op_name: str, bound) -> int:
         """Irregular positions where some possible atom value satisfies
         the ordered comparison (same type rules as ``ordered_bits``)."""
-        memo_key = ("po", op_name, type(bound), bound)
-        cached = self._scan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        index = self._irr_ordered
-        if index is None:
-            index = self._irr_ordered = _sorted_ranges(
-                self.possible_index()[0])
-        bits = _range_bits(index, op_name, bound)
-        if len(self._scan_memo) >= _SCAN_MEMO_CAP:
-            self._scan_memo.clear()
-        self._scan_memo[memo_key] = bits
-        return bits
+        return self._memoized((_scan_possible_ordered, op_name,
+                               type(bound), bound))
 
     def possible_contains_bits(self, needle: str) -> int:
         """Irregular positions where some possible string value
         contains ``needle``."""
-        memo_key = ("pc", needle)
-        cached = self._scan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        bits = 0
-        for (kind, value), chunk in self.possible_index()[0].items():
-            if kind is str and needle in value:
-                bits |= chunk
-        if len(self._scan_memo) >= _SCAN_MEMO_CAP:
-            self._scan_memo.clear()
-        self._scan_memo[memo_key] = bits
-        return bits
+        return self._memoized((_scan_possible_contains, needle))
 
     def contains_bits(self, needle: str) -> int:
         """Unmasked positions whose scalar string entry contains
         ``needle``."""
-        memo_key = ("c", needle)
-        cached = self._scan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        builder = _BitBuilder(len(self.values))
-        for position, value in enumerate(self.values):
-            if isinstance(value, str) and needle in value:
-                builder.set(position)
-        bits = builder.value()
-        if len(self._scan_memo) >= _SCAN_MEMO_CAP:
-            self._scan_memo.clear()
-        self._scan_memo[memo_key] = bits
-        return bits
+        return self._memoized((_scan_contains, needle))
+
+    # -- copy-on-write successors (see ColumnStore.patched) --------------------
+
+    def _padded(self, pad: list) -> "Column":
+        """This column followed by ``pad``, ``None`` entries for appended
+        rows that do not reach its path.
+
+        No entry changes, so the successor keeps this column's bitsets,
+        sidecar and built indexes as they are, and a private copy of the
+        scan memo (one ``dict.copy()``: readers may be inserting, and a
+        copy is never iterated half-way through an insert).
+        """
+        column = Column(self.values + pad, self.present, self.irregular,
+                        self.tuples, self.opaque, self.extras)
+        column._eq_index = self._eq_index
+        column._ordered_index = self._ordered_index
+        column._irr_index = self._irr_index
+        column._irr_ordered = self._irr_ordered
+        column._scan_memo = self._scan_memo.copy()
+        return column
+
+    def _extended(self, tail: "Column", shift: int) -> "Column":
+        """This column followed by ``tail``, the same path's column over
+        the appended rows alone, whose positions start at ``shift``.
+
+        Every lazily built structure is a position-wise function of the
+        entries, so where this column built one, the successor's is
+        this one OR'd with the tail's shifted up by ``shift``: the eq
+        and possible-value indexes merge per key, and each memo entry
+        is recomputed on the tail (the memo is snapshotted first, since
+        readers may be inserting). Structures this column never built,
+        and the sorted range indexes, stay lazy in the successor.
+        """
+        extras = dict(self.extras)
+        extras.update((shift + position, value)
+                      for position, value in tail.extras.items())
+        column = Column(self.values + tail.values,
+                        self.present | tail.present << shift,
+                        self.irregular | tail.irregular << shift,
+                        self.tuples | tail.tuples << shift,
+                        self.opaque | tail.opaque << shift,
+                        extras)
+        eq_index = self._eq_index
+        if eq_index is not None:
+            column._eq_index = _merge_shifted(eq_index, tail.eq_index(),
+                                              shift)
+        irr_index = self._irr_index
+        if irr_index is not None:
+            buckets, fallback = tail.possible_index()
+            column._irr_index = (
+                _merge_shifted(irr_index[0], buckets, shift),
+                irr_index[1] | fallback << shift)
+        memo = column._scan_memo
+        for key, bits in self._scan_memo.copy().items():
+            extra = key[0](tail, key)
+            memo[key] = bits | extra << shift if extra else bits
+        return column
+
+
+def _merge_shifted(index: dict, tail: dict, shift: int) -> dict:
+    """A copy of a ``key -> bitset`` index with ``tail``'s bitsets
+    shifted up by ``shift`` and OR'd in per key."""
+    merged = dict(index)
+    for key, bits in tail.items():
+        merged[key] = merged.get(key, 0) | bits << shift
+    return merged
+
+
+# The scan memo's scans: ``scan(column, key)`` with ``key`` the memo key
+# ``(scan, *operands)`` (see ``Column._memoized``).
+
+
+def _scan_ordered(column: Column, key: tuple) -> int:
+    return _range_bits(column._range_index(), key[1], key[3])
+
+
+def _scan_contains(column: Column, key: tuple) -> int:
+    needle = key[1]
+    builder = _BitBuilder(len(column.values))
+    for position, value in enumerate(column.values):
+        if isinstance(value, str) and needle in value:
+            builder.set(position)
+    return builder.value()
+
+
+def _scan_possible_differs(column: Column, key: tuple) -> int:
+    target = key[1:]
+    bits = 0
+    for value_key, chunk in column.possible_index()[0].items():
+        if value_key != target:
+            bits |= chunk
+    return bits
+
+
+def _scan_possible_ordered(column: Column, key: tuple) -> int:
+    index = column._irr_ordered
+    if index is None:
+        index = column._irr_ordered = _sorted_ranges(
+            column.possible_index()[0])
+    return _range_bits(index, key[1], key[3])
+
+
+def _scan_possible_contains(column: Column, key: tuple) -> int:
+    needle = key[1]
+    bits = 0
+    for (kind, value), chunk in column.possible_index()[0].items():
+        if kind is str and needle in value:
+            bits |= chunk
+    return bits
 
 
 class _ColumnBuilder:
@@ -650,7 +737,27 @@ class ColumnStore:
         Removals tombstone positions (masks carry liveness; arrays are
         shared untouched). Additions append — re-adding a tombstoned
         datum resurrects its position. When tombstones outnumber live
-        rows the store rebuilds compactly in canonical order.
+        rows the store rebuilds compactly in canonical order, and the
+        rebuilt store starts with every lazy structure unbuilt.
+
+        Otherwise each column's lazily built state carries over: its
+        eq-index, possible-value index and scan memo (see
+        :meth:`Column.eq_index` for the lifetime rule). A column the
+        appended rows do not reach keeps the parent's index objects and
+        a copy of its memo; a column they reach gets the parent's
+        structures with the appended rows' shifted in, but only those
+        the parent had built. This is exact because each structure is a
+        position-wise function of the entries, positions only append, a
+        resurrected position holds the same datum, and tombstones are
+        masked by :attr:`universe_mask` at query time. The write pays
+        one dict copy per built index on a reached column (proportional
+        to its distinct keys) plus one tail scan per memo entry there.
+
+        The store-level memos (``ancestor_opaque``, :attr:`alt_memo`)
+        start empty in every successor. ``alt_memo`` must: it is keyed
+        by position, and sibling successors of one parent, which an
+        aborted commit batch leaves behind, put different rows at the
+        same new positions.
         """
         dead = self._dead
         removal_mask = _BitBuilder(self._size)
@@ -671,67 +778,47 @@ class ColumnStore:
         dead &= ~resurrect.value()
 
         old_size = self._size
-        if appended:
-            tail = ColumnStore.build(appended, ordered=False,
-                                     shred_depth=self._shred_depth)
-            rows = self._rows + tail._rows
-            positions = dict(self._positions)
-            for offset, datum in enumerate(tail._rows):
-                positions[datum] = old_size + offset
-            pad = [None] * len(appended)
-            columns: dict[Path, Column] = {}
-            for path, column in self._columns.items():
-                tail_column = tail._columns.get(path)
-                if tail_column is None:
-                    columns[path] = Column(
-                        column.values + pad, column.present,
-                        column.irregular, column.tuples, column.opaque,
-                        column.extras)
-                else:
-                    extras = dict(column.extras)
-                    extras.update(
-                        (old_size + position, value)
-                        for position, value in tail_column.extras.items())
-                    columns[path] = Column(
-                        column.values + tail_column.values,
-                        column.present | tail_column.present << old_size,
-                        column.irregular
-                        | tail_column.irregular << old_size,
-                        column.tuples | tail_column.tuples << old_size,
-                        column.opaque | tail_column.opaque << old_size,
-                        extras)
-            head_pad = [None] * old_size
-            for path, tail_column in tail._columns.items():
-                if path in columns:
-                    continue
-                columns[path] = Column(
-                    head_pad + tail_column.values,
-                    tail_column.present << old_size,
-                    tail_column.irregular << old_size,
-                    tail_column.tuples << old_size,
-                    tail_column.opaque << old_size,
-                    {old_size + position: value
-                     for position, value in tail_column.extras.items()})
-            shredded = self._shredded | tail._shredded << old_size
-            ordered = False
-        else:
-            rows = self._rows
-            positions = self._positions
-            columns = self._columns
-            shredded = self._shredded
-            ordered = self._ordered
-
-        result = ColumnStore(rows, positions, columns, shredded, dead,
-                             ordered, self._shred_depth)
         dead_count = dead.bit_count()
-        if dead_count > _REBUILD_DEAD and 2 * dead_count > result._size:
-            alive = [rows[position]
+        if (dead_count > _REBUILD_DEAD
+                and 2 * dead_count > old_size + len(appended)):
+            alive = [self._rows[position]
                      for position in bit_positions(
-                         ((1 << result._size) - 1) & ~dead)]
+                         ((1 << old_size) - 1) & ~dead)]
+            alive.extend(appended)
             alive.sort(key=_canonical_key)
             return ColumnStore.build(alive, ordered=True,
                                      shred_depth=self._shred_depth)
-        return result
+        if not appended:
+            return ColumnStore(self._rows, self._positions, self._columns,
+                               self._shredded, dead, self._ordered,
+                               self._shred_depth)
+
+        tail = ColumnStore.build(appended, ordered=False,
+                                 shred_depth=self._shred_depth)
+        positions = dict(self._positions)
+        for offset, datum in enumerate(tail._rows):
+            positions[datum] = old_size + offset
+        pad = [None] * len(appended)
+        columns: dict[Path, Column] = {}
+        for path, column in self._columns.items():
+            tail_column = tail._columns.get(path)
+            columns[path] = (column._padded(pad) if tail_column is None
+                             else column._extended(tail_column, old_size))
+        head_pad = [None] * old_size
+        for path, tail_column in tail._columns.items():
+            if path in columns:
+                continue
+            columns[path] = Column(
+                head_pad + tail_column.values,
+                tail_column.present << old_size,
+                tail_column.irregular << old_size,
+                tail_column.tuples << old_size,
+                tail_column.opaque << old_size,
+                {old_size + position: value
+                 for position, value in tail_column.extras.items()})
+        return ColumnStore(self._rows + tail._rows, positions, columns,
+                           self._shredded | tail._shredded << old_size,
+                           dead, False, self._shred_depth)
 
     # -- introspection ---------------------------------------------------------
 
@@ -799,7 +886,9 @@ class ColumnStore:
         alternatives stay valid across queries — the aggregate kernels
         share this dict instead of re-walking irregular rows on every
         invocation (capped by the caller, benign under races like the
-        scan memos)."""
+        scan memos). It is never carried to a :meth:`patched`
+        successor: siblings of one parent put different rows at the
+        same new positions."""
         return self._alt_memo
 
     def column(self, path) -> "Column | None":

@@ -10,8 +10,10 @@ and ⊥ at interior *and* leaf positions — and rich-mode
 exact agreement with ``run(naive=True)``, plus cross-strategy equality
 (row scan, index probes, columnar, threaded parallel shards all return
 the same rows), copy-on-write ``patched()`` correctness against a
-fresh rebuild after nested mutations, and wire-format round-trip
-equivalence for path columns.
+fresh rebuild after nested mutations — from parents whose indexes and
+scan memos were warmed first, so the carried state is what answers,
+including sibling successors of one parent — and wire-format
+round-trip equivalence for path columns.
 """
 
 import io
@@ -25,19 +27,28 @@ from repro.core.objects import Atom, Marker
 from repro.properties.generators import ObjectGenerator
 from repro.query import (
     And,
+    Collect,
     Contains,
+    Count,
     Eq,
     Exists,
     Ge,
     Lt,
+    Max,
+    Min,
     Ne,
     Not,
     Or,
     ParallelExecutor,
     Query,
+    Sum,
 )
+from repro.query.aggregates import group_aggregate_columnar, \
+    group_aggregate_rows
 from repro.store import AttrIndex, ColumnStore, read_column_shard, \
     write_column_shard
+from tests.store.test_columnar import assert_carried_state_exact
+from tests.store.test_columnar import warm as warm_columns
 
 CASES = settings(max_examples=200, deadline=None)
 
@@ -68,10 +79,10 @@ tuples = st.dictionaries(st.sampled_from(LABELS), attr_values,
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, prefix="m"):
     objects = draw(st.lists(tuples, min_size=0, max_size=8))
     return DataSet(
-        Data(Marker(f"m{i}"), obj) for i, obj in enumerate(objects)
+        Data(Marker(f"{prefix}{i}"), obj) for i, obj in enumerate(objects)
     )
 
 
@@ -160,30 +171,99 @@ def test_every_strategy_returns_identical_results(dataset, condition):
         executor.close()
 
 
-@settings(max_examples=100, deadline=None)
-@given(datasets(), datasets(), conditions)
-def test_patched_store_equals_rebuild(initial, extra, condition):
-    """Copy-on-write patching (tombstones, resurrection, appends)
-    answers exactly like a fresh shred of the final data."""
-    store = ColumnStore.build(initial)
-    current = set(initial)
-    additions = [datum for datum in extra if datum not in current]
-    store = store.patched([], additions)
-    current.update(additions)
-    removals = sorted(current, key=repr)[::2]
-    store = store.patched(removals, [])
-    current.difference_update(removals)
-    if removals:
-        store = store.patched([], removals[:1])
-        current.add(removals[0])
+AGGS = {
+    "count(*)": Count(),
+    "count(year)": Count("year"),
+    "sum(year)": Sum("year"),
+    "min(year)": Min("year"),
+    "max(year)": Max("year"),
+    "collect(title)": Collect("title"),
+}
 
-    dataset = DataSet(current)
+
+def warm(store, live, condition, group, aggs):
+    """Read ``store`` (live rows ``live``) the way readers do between
+    writes: run the condition and a columnar group-by, each against
+    its oracle, then build every column's lazy indexes and fill its
+    scan memo through every probe."""
+    dataset = DataSet(live)
+    query = Query(dataset).where(condition).with_columns(store)
+    assert query.run() == query.run(naive=True)
+    mask = store.universe_mask | store.residue_mask
+    assert group_aggregate_columnar(store, mask, group, aggs) \
+        == group_aggregate_rows(dataset, group, aggs)
+    warm_columns(store, WORDS + YEARS + (True, 1.0), WORDS)
+
+
+def assert_matches_fresh(store, live, condition, group, aggs):
+    """``store`` answers like the oracles and like a fresh shred of
+    ``live``, and every index and memo entry it carries equals a
+    recompute on a fresh column over the same arrays."""
+    dataset = DataSet(live)
     patched_query = Query(dataset).where(condition).with_columns(store)
     fresh_query = Query(dataset).where(condition).with_columns(
         ColumnStore.build(dataset))
     expected = patched_query.run(naive=True)
     assert patched_query.run() == expected
     assert fresh_query.run() == expected
+    mask = store.universe_mask | store.residue_mask
+    assert group_aggregate_columnar(store, mask, group, aggs) \
+        == group_aggregate_rows(dataset, group, aggs)
+    for path in store.paths:
+        assert_carried_state_exact(store.column(path))
+
+
+def check_patched_equals_rebuild(initial, extra, condition, group, aggs):
+    """Copy-on-write patching (appends, tombstones, resurrection), each
+    step from a warmed parent, ends where a fresh shred does."""
+    store = ColumnStore.build(initial)
+    current = set(initial)
+    warm(store, current, condition, group, aggs)
+    additions = [datum for datum in extra if datum not in current]
+    store = store.patched([], additions)
+    current.update(additions)
+    warm(store, current, condition, group, aggs)
+    removals = sorted(current, key=repr)[::2]
+    store = store.patched(removals, [])
+    current.difference_update(removals)
+    if removals:
+        warm(store, current, condition, group, aggs)
+        store = store.patched([], removals[:1])
+        current.add(removals[0])
+    assert_matches_fresh(store, current, condition, group, aggs)
+
+
+def check_sibling_successors(initial, first, second, condition, group,
+                             aggs):
+    """One warm parent patched twice with different additions, as an
+    aborted commit batch leaves it: both successors put their rows at
+    the same new positions, and each must answer for its own rows."""
+    parent = ColumnStore.build(initial)
+    warm(parent, initial, condition, group, aggs)
+    live_a = set(initial) | set(first)
+    sibling_a = parent.patched([], first)
+    warm(sibling_a, live_a, condition, group, aggs)
+    live_b = set(initial) | set(second)
+    sibling_b = parent.patched([], second)
+    assert_matches_fresh(sibling_b, live_b, condition, group, aggs)
+    assert_matches_fresh(sibling_a, live_a, condition, group, aggs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), datasets(), conditions, st.sampled_from(LABELS))
+def test_patched_store_equals_rebuild(initial, extra, condition, group):
+    """Copy-on-write patching (tombstones, resurrection, appends)
+    answers exactly like a fresh shred of the final data."""
+    check_patched_equals_rebuild(initial, extra, condition, group, AGGS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), datasets(prefix="x"), datasets(prefix="y"),
+       conditions, st.sampled_from(LABELS))
+def test_sibling_successors_of_a_warm_parent(initial, first, second,
+                                             condition, group):
+    check_sibling_successors(initial, first, second, condition, group,
+                             AGGS)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +383,38 @@ def test_nested_every_strategy_returns_identical_results(dataset,
         executor.close()
 
 
+NESTED_AGGS = {
+    "count(*)": Count(),
+    "count(year)": Count("year"),
+    "sum(year)": Sum("year"),
+    "collect(title)": Collect("title"),
+    "collect(author.name.last)": Collect("author.name.last"),
+}
+
+nested_groups = st.sampled_from(("author.name.last", "author.name",
+                                 "year", "title"))
+
+
 @settings(max_examples=100, deadline=None)
-@given(nested_datasets(), nested_datasets(prefix="x"), nested_conditions)
-def test_nested_patched_store_equals_rebuild(initial, extra, condition):
+@given(nested_datasets(), nested_datasets(prefix="x"), nested_conditions,
+       nested_groups)
+def test_nested_patched_store_equals_rebuild(initial, extra, condition,
+                                             group):
     """Copy-on-write patching over nested rows (tombstones,
     resurrection, appends introducing new path columns) answers exactly
     like a fresh shred of the final data."""
-    store = ColumnStore.build(initial)
-    current = set(initial)
-    additions = [datum for datum in extra if datum not in current]
-    store = store.patched([], additions)
-    current.update(additions)
-    removals = sorted(current, key=repr)[::2]
-    store = store.patched(removals, [])
-    current.difference_update(removals)
-    if removals:
-        store = store.patched([], removals[:1])
-        current.add(removals[0])
+    check_patched_equals_rebuild(initial, extra, condition, group,
+                                 NESTED_AGGS)
 
-    dataset = DataSet(current)
-    patched_query = Query(dataset).where(condition).with_columns(store)
-    fresh_query = Query(dataset).where(condition).with_columns(
-        ColumnStore.build(dataset))
-    expected = patched_query.run(naive=True)
-    assert patched_query.run() == expected
-    assert fresh_query.run() == expected
+
+@settings(max_examples=100, deadline=None)
+@given(nested_datasets(), nested_datasets(prefix="x"),
+       nested_datasets(prefix="y"), nested_conditions, nested_groups)
+def test_nested_sibling_successors_of_a_warm_parent(initial, first,
+                                                    second, condition,
+                                                    group):
+    check_sibling_successors(initial, first, second, condition, group,
+                             NESTED_AGGS)
 
 
 @settings(max_examples=100, deadline=None)

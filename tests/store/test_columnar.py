@@ -4,7 +4,8 @@ Covers the multi-level shred classification rules (scalar / irregular
 sidecar / tuple-interior / opaque / row-fallback residue / field-less
 tops), the path-keyed columns and per-level bitset semantics, the
 bitset plumbing, copy-on-write ``patched()`` including tombstones,
-resurrection and the compacting drift rebuild, the column-shard wire
+resurrection, the compacting drift rebuild and the indexes and scan
+memos it carries into the next generation, the column-shard wire
 format with nested re-materialization, and the ≥600-deep
 pathological-nesting regression the binary codec set the precedent
 for: analysis is iterative (and guarded), so deep objects classify
@@ -18,8 +19,9 @@ from repro.binary_codec import Decoder, Encoder
 from repro.core.builder import atom, cset, orv, pset, tup
 from repro.core.data import Data, DataSet
 from repro.core.objects import Atom, Marker, Tuple
-from repro.query import Eq, Exists, Ge, Query
+from repro.query import Contains, Eq, Exists, Ge, Query
 from repro.store.columnar import (
+    Column,
     ColumnStore,
     bit_positions,
     read_column_shard,
@@ -282,6 +284,17 @@ class TestPatched:
                  .with_columns(patched))
         assert query.rows() == query.rows(naive=True)
 
+    def test_drift_rebuild_counts_appended_rows(self):
+        data = [flat(f"m{i:04d}", type="T", year=1900 + i)
+                for i in range(200)]
+        store = ColumnStore.build(DataSet(data[:160]))
+        # 85 tombstones are more than half of 161 rows, but not of the
+        # 200 rows left after appending 40.
+        compacted = store.patched(data[:85], data[160:161])
+        assert compacted.size == 76 and compacted.ordered
+        kept = store.patched(data[:85], data[160:])
+        assert kept.size == 200 and kept.alive_count == 115
+
     def test_database_lineage_patches_not_rebuilds(self):
         from repro.store.database import Database
 
@@ -294,6 +307,113 @@ class TestPatched:
         # _apply patched the existing store copy-on-write.
         assert second is not None and second is not first
         assert db.query(text) == db.query(text, naive=True)
+
+
+def warm(store, values=(1990, 1991, 2001, True, 1.0, "Article", "bob"),
+         needles=("o", "ba", "Art")):
+    """Build every lazy structure of every column and fill its scan
+    memo through every probe, once per value or needle."""
+    for path in store.paths:
+        column = store.column(path)
+        column.eq_index()
+        column.possible_index()
+        for value in values:
+            column.possible_eq_bits(value)
+            column.possible_differs_bits(value)
+            for op_name in ("lt", "le", "gt", "ge"):
+                column.ordered_bits(op_name, value)
+                column.possible_ordered_bits(op_name, value)
+        for needle in needles:
+            column.contains_bits(needle)
+            column.possible_contains_bits(needle)
+
+
+def assert_carried_state_exact(column):
+    """Every built index and memo entry of ``column`` equals a
+    recompute on a fresh column over the same arrays."""
+    fresh = Column(column.values, column.present, column.irregular,
+                   column.tuples, column.opaque, column.extras)
+    if column._eq_index is not None:
+        assert column._eq_index == fresh.eq_index()
+    if column._irr_index is not None:
+        assert column._irr_index == fresh.possible_index()
+    for key, bits in column._scan_memo.items():
+        assert bits == key[0](fresh, key), key
+
+
+class TestCarriedState:
+    """``patched`` carries built indexes and scan memos into the
+    successor instead of starting each new column empty."""
+
+    added = [flat("n1", type="Article", year=2010, title="fresh foo"),
+             datum("n2", tup(type=atom("Book"), year=orv(1995, 2012)))]
+
+    def test_untouched_column_keeps_parent_index_objects(self):
+        store = ColumnStore.build(library())
+        warm(store)
+        successor = store.patched([], self.added)
+        parent = store.column(("author",))
+        carried = successor.column(("author",))
+        assert carried is not parent
+        assert carried._eq_index is parent._eq_index
+        assert carried._irr_index is parent._irr_index
+        assert carried._ordered_index is parent._ordered_index
+        assert carried._irr_ordered is parent._irr_ordered
+        assert carried._scan_memo == parent._scan_memo
+        assert carried._scan_memo is not parent._scan_memo
+        assert_carried_state_exact(carried)
+
+    def test_touched_column_is_built_on_arrival(self):
+        store = ColumnStore.build(library())
+        warm(store)
+        successor = store.patched([], self.added)
+        parent = store.column(("year",))
+        carried = successor.column(("year",))
+        assert carried._eq_index is not None
+        assert carried._irr_index is not None
+        assert carried._scan_memo.keys() == parent._scan_memo.keys()
+        # The appended scalar and or-valued years are in the indexes.
+        assert carried._eq_index[(int, 2010)] >> store.size == 0b01
+        assert carried.possible_index()[0][(int, 2012)] >> store.size \
+            == 0b10
+        for path in successor.paths:
+            assert_carried_state_exact(successor.column(path))
+
+    def test_unbuilt_parent_leaves_successor_lazy(self):
+        store = ColumnStore.build(library())
+        successor = store.patched([], self.added)
+        for path in successor.paths:
+            column = successor.column(path)
+            assert column._eq_index is None
+            assert column._irr_index is None
+            assert column._scan_memo == {}
+
+    def test_carry_survives_tombstones_and_resurrection(self):
+        rows = list(library())
+        store = ColumnStore.build(DataSet(rows))
+        warm(store)
+        store = store.patched(rows[:3], [])
+        warm(store)
+        store = store.patched([], rows[:1] + self.added)
+        warm(store)
+        store = store.patched([], [flat("n3", year=1991, title="foo")])
+        for path in store.paths:
+            assert_carried_state_exact(store.column(path))
+        live = DataSet(rows[:1] + rows[3:] + self.added
+                       + [flat("n3", year=1991, title="foo")])
+        for condition in (Ge("year", 1991), Eq("year", 2012),
+                          Contains("title", "foo"), ~Eq("author", "bob")):
+            query = Query(live).where(condition).with_columns(store)
+            assert query.run() == query.run(naive=True)
+
+    def test_compacting_rebuild_starts_fresh(self):
+        data = [flat(f"m{i:04d}", type="T", year=1900 + i)
+                for i in range(200)]
+        store = ColumnStore.build(DataSet(data))
+        warm(store)
+        rebuilt = store.patched(data[:150], [])
+        column = rebuilt.column(("year",))
+        assert column._eq_index is None and column._scan_memo == {}
 
 
 class TestWireFormat:

@@ -7,13 +7,16 @@ to a ``naive=True`` full scan at the generation it claims to be from —
 the zero-stale-reads, zero-torn-reads contract.
 """
 
+import random
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import data, tup
+from repro.core.builder import cset, data, orv, tup
 from repro.core.data import DataSet
 from repro.core.objects import BOTTOM
 from repro.store import Database, LRUCache, QueryResultCache
@@ -334,6 +337,87 @@ class TestThreadedInterleaving:
             thread.join(timeout=120)
         assert not errors, errors[0]
         assert db.cache_stats()["retags"] > 0
+
+    def test_carried_scan_memos_race_writer(self):
+        writes = 300
+        # Every write carries the head generation's column indexes and
+        # scan memos into the next one while readers of the head keep
+        # inserting (and, at the cap, clearing) memo entries. Fresh
+        # constants keep the memos churning; a switch interval of 1 µs
+        # puts thread switches inside the writer's carry, and a paced
+        # writer lets the readers fill each generation's memos.
+        rows = [entry(uid, year=1900 + uid % 97) for uid in range(150)]
+        rows += [entry(500 + uid, year=orv(1950 + uid, 1990 + uid),
+                       title=cset(f"Alt {uid:03d}", f"Other {uid:03d}"))
+                 for uid in range(30)]
+        db = Database(rows, result_cache_size=0)
+        db.query("select * where year >= 1900")  # build the columns
+        errors: list[str] = []
+        stop = threading.Event()
+
+        def reader(worker: int) -> None:
+            rng = random.Random(worker)
+            try:
+                reads = 0
+                while not stop.is_set():
+                    view = db.view()
+                    for text in (
+                            f"select * where year >= "
+                            f"{rng.randrange(1850, 2100)}",
+                            f"select * where year < "
+                            f"{rng.randrange(1850, 2100)}",
+                            f'select * where title contains '
+                            f'"{rng.randrange(1000):03d}"'):
+                        got = view.query(text)
+                        reads += 1
+                        if (reads % 7 == 0
+                                and got != view.query(text, naive=True)):
+                            errors.append(
+                                f"reader {worker}: wrong result for "
+                                f"{text!r} at generation "
+                                f"{view.generation}")
+                            return
+            except Exception as exc:  # a failed read fails the test
+                errors.append(f"reader {worker}: {exc!r}")
+
+        def writer() -> None:
+            try:
+                for index in range(writes):
+                    db.insert(entry(2000 + index,
+                                    year=1900 + index % 150,
+                                    title=f"Title w{index:03d}"))
+                    if index % 3 == 0:
+                        db.insert(entry(
+                            3000 + index,
+                            year=orv(1960 + index, 2000 + index),
+                            title=cset(f"Alt w{index:03d}")))
+                    if index % 4 == 0:
+                        db.remove(entry(index, year=1900 + index % 97))
+                    time.sleep(0.001)
+            except Exception as exc:  # a failed write fails the test
+                errors.append(f"writer: {exc!r}")
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(index,))
+                       for index in range(4)]
+            writer_thread = threading.Thread(target=writer)
+            for thread in threads:
+                thread.start()
+            writer_thread.start()
+            writer_thread.join(timeout=120)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer_thread.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert db.generation > writes
 
 
 # ---------------------------------------------------------------------------
