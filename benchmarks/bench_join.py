@@ -10,7 +10,8 @@ Two headline ratios:
 
 * ``join_speedup`` — an equi-join of a year-range selection of source 0
   against a type selection of source 1 on ``title``, hash strategy
-  (eq-index build over the shredded column, column-at-a-time probe)
+  (columnar build keyed from the selected rows' column values,
+  column-at-a-time probe)
   vs the O(n·m) nested-loop oracle;
 * ``group_agg_speedup`` — ``count/sum/min/max group by type`` plus
   ungrouped aggregates over one full source, columnar kernels (shredded

@@ -20,12 +20,14 @@ only when every path matches definitely.
 Execution strategies, fastest first — all proven equal by the
 differential suite:
 
-* **columnar hash join** — the build side's key map is assembled from
-  the column eq-index (:meth:`Column.eq_index`): one bitset
-  intersection per distinct value, no per-row Python dispatch; probe
-  runs column-at-a-time over the flat primitive array. Only rows with
-  irregular keys (or-values, sets) and residue rows fall back to
-  per-row key extraction;
+* **columnar hash join** — both sides read scalar keys
+  column-at-a-time: the selection bitset is decoded once and each
+  selected row keys on ``(type, value)`` from the column's flat
+  primitive array, so the build costs the selected rows, not the
+  column's distinct values (no eq-index is built or walked). The
+  smaller selection is the build side. Only rows with irregular keys
+  (or-values, sets) and residue rows fall back to per-row key
+  extraction;
 * **per-row hash join** — the same hash algorithm with per-row key
   extraction (used when no column store covers a side);
 * **nested-loop join** (``naive=True``) — the definitional O(n·m)
@@ -54,6 +56,7 @@ from repro.query.paths import evaluate_path, parse_path
 from repro.query.planner import (
     JoinPlan,
     _resolve_columns,
+    choose_build_side,
     explain_plan,
     plan_join,
 )
@@ -190,11 +193,13 @@ class _Side:
 def _build_maps(side: _Side, steps: tuple[str, ...]):
     """``(definite_map, maybe_map)``: normalized key → build rows.
 
-    Vectorized when the side has a column store: the scalar entries of
-    the key path's column — nested paths included — come straight out
-    of the eq-index (one bitset intersection per distinct value); only
-    rows with irregular keys, tuple-valued keys or opaque ancestors,
-    plus the residue, walk per-row.
+    Vectorized when the side has a column store: the selected scalar
+    entries of the key path's column — nested paths included — are
+    decoded once and keyed ``(type, value)`` straight from the flat
+    value array, so the work follows the selected rows, not the
+    column's distinct values; only rows with irregular keys,
+    tuple-valued keys or opaque ancestors, plus the residue, walk
+    per-row.
     """
     from repro.store.columnar import bit_positions
 
@@ -216,21 +221,21 @@ def _build_maps(side: _Side, steps: tuple[str, ...]):
     store, mask = side.store, side.mask
     rows = store.rows
     shredded = store.universe_mask & mask
-    column, _, per_row_bits = store.path_masks(steps)
+    column, scalar_bits, per_row_bits = store.path_masks(steps)
     if column is not None:
-        for key, bits in column.eq_index().items():
-            selected = bits & shredded
-            if selected:
-                definite_map[key] = [rows[position] for position
-                                     in bit_positions(selected)]
+        values = column.values
+        for position in bit_positions(scalar_bits & shredded):
+            value = values[position]
+            key = (type(value), value)
+            bucket = definite_map.get(key)
+            if bucket is None:
+                definite_map[key] = [rows[position]]
+            else:
+                bucket.append(rows[position])
     per_row = (per_row_bits & shredded) | (store.residue_mask & mask)
     for position in bit_positions(per_row):
         add_per_row(rows[position])
     return definite_map, maybe_map
-
-
-def _probe_keys_per_row(datum: Data, steps: tuple[str, ...]):
-    return join_keys(datum.object, steps)
 
 
 def hash_join(left: _Side | Sequence[Data], right: _Side | Sequence[Data],
@@ -372,8 +377,9 @@ class JoinQuery:
         right = self._side(self._right, naive)
         if naive:
             return nested_loop_join(left.rows, right.rows, self._on)
-        plan = self._plan(left, right)
-        return hash_join(left, right, self._on, build=plan.build)
+        return hash_join(left, right, self._on,
+                         build=choose_build_side(len(left.rows),
+                                                 len(right.rows)))
 
     def count(self) -> "int | Bounds":
         """Number of joined pairs — a ``[lo, hi]`` when maybe-matches
@@ -386,33 +392,31 @@ class JoinQuery:
 
     # -- planning --------------------------------------------------------------
 
-    def _plan(self, left: _Side, right: _Side,
-              strategy: str = "hash") -> JoinPlan:
-        left_plan = explain_plan(self._left._condition, self._left._index,
-                                 columns=self._left._columns,
-                                 size=len(self._left._dataset))
-        right_plan = explain_plan(self._right._condition,
-                                  self._right._index,
-                                  columns=self._right._columns,
-                                  size=len(self._right._dataset))
-        build = plan_join(self._on, left_plan, right_plan,
-                          len(self._left._dataset),
-                          len(self._right._dataset)).build
-        build_store = (left if build == "left" else right).store
-        return plan_join(self._on, left_plan, right_plan,
-                         len(self._left._dataset),
-                         len(self._right._dataset),
-                         build_store=build_store, strategy=strategy)
-
     def explain(self, *, analyze: bool = False) -> JoinPlan:
         """The join plan; ``analyze=True`` also executes and fills the
-        actual row counts per side and pair counts."""
+        actual row counts per side and pair counts.
+
+        The estimates come from each side's selection plan and the
+        build column's statistics; the build side is the one
+        :meth:`rows` hashes, so ``analyze=True`` executes the plan it
+        reports."""
         left = self._side(self._left, False)
         right = self._side(self._right, False)
-        plan = self._plan(left, right)
+        build = choose_build_side(len(left.rows), len(right.rows))
+        plan = plan_join(
+            self._on,
+            explain_plan(self._left._condition, self._left._index,
+                         columns=self._left._columns,
+                         size=len(self._left._dataset)),
+            explain_plan(self._right._condition, self._right._index,
+                         columns=self._right._columns,
+                         size=len(self._right._dataset)),
+            len(self._left._dataset), len(self._right._dataset),
+            build_store=(left if build == "left" else right).store,
+            build=build)
         if not analyze:
             return plan
-        rows = hash_join(left, right, self._on, build=plan.build)
+        rows = hash_join(left, right, self._on, build=build)
         maybe = sum(1 for row in rows if row.maybe)
         from dataclasses import replace
 

@@ -436,7 +436,7 @@ class JoinPlan:
     """The strategy a :class:`~repro.query.join.JoinQuery` chose.
 
     ``left``/``right`` are the per-side selection plans; the build side
-    is the one hashed into the key map (chosen by estimated rows), the
+    is the one hashed into the key map (the smaller selection), the
     other side probes it. ``actual_*`` fields are filled by
     ``explain(analyze=True)``.
     """
@@ -444,7 +444,7 @@ class JoinPlan:
     strategy: str                     # "hash" or "nested-loop"
     on: tuple[str, ...]
     build: str                        # "left" or "right"
-    build_vectorized: bool            # eq-index bulk build vs per-row
+    build_vectorized: bool            # columnar build vs per-row
     left: Plan
     right: Plan
     estimated_left: int | None = None
@@ -459,7 +459,7 @@ class JoinPlan:
     def __post_init__(self):
         lines = [f"join[{self.strategy}] on {', '.join(self.on)} "
                  f"(build={self.build}, "
-                 f"{'eq-index' if self.build_vectorized else 'per-row'}"
+                 f"{'columnar' if self.build_vectorized else 'per-row'}"
                  f" build)"]
         for name, plan, estimated, actual in (
                 ("left", self.left, self.estimated_left,
@@ -520,30 +520,27 @@ class AggregatePlan:
         return "\n".join(self.lines)
 
 
-def choose_build_side(estimated_left: int | None,
-                      estimated_right: int | None) -> str:
-    """Hash the smaller estimated side; ties and unknowns build right
-    (the conventional inner side)."""
-    if estimated_left is not None and estimated_right is not None:
-        return "left" if estimated_left < estimated_right else "right"
-    return "right"
+def choose_build_side(left_rows: int, right_rows: int) -> str:
+    """Hash the side with fewer rows; ties build right (the
+    conventional inner side)."""
+    return "left" if left_rows < right_rows else "right"
 
 
 def plan_join(on: Sequence[str],
               left_plan: Plan, right_plan: Plan,
               left_size: int | None, right_size: int | None,
-              build_store=None, *, strategy: str = "hash") -> JoinPlan:
-    """Cost a join from the per-side selection plans and column
-    statistics: build side = smaller estimated side, estimated pairs
-    from the build column's distinct-value count when a store is
-    available."""
+              build_store=None, *, build: str,
+              strategy: str = "hash") -> JoinPlan:
+    """Cost a join whose build side the caller chose (the side it
+    hashes, see :func:`choose_build_side`): per-side estimates from the
+    selection plans, estimated pairs from the build column's
+    distinct-value count when a store is available."""
     estimated_left = (left_plan.estimated_rows
                       if left_plan.estimated_rows is not None
                       else left_size)
     estimated_right = (right_plan.estimated_rows
                        if right_plan.estimated_rows is not None
                        else right_size)
-    build = choose_build_side(estimated_left, estimated_right)
     estimated_pairs = None
     build_vectorized = build_store is not None
     if (estimated_left is not None and estimated_right is not None):

@@ -322,9 +322,10 @@ class Column:
         bitset`` over the column's scalar entries.
 
         This is the vectorized substrate for value-partitioned work:
-        the hash-join build side and the group-by kernel read it
-        directly (one bitset per distinct value, no per-row dispatch).
-        Returned dict is shared and must not be mutated.
+        equality leaves, the aggregate kernels and the sorted range
+        index read it directly (one bitset per distinct value, no
+        per-row dispatch). Returned dict is shared and must not be
+        mutated.
 
         Lifetime: once built, the index outlives this column's
         generation. :meth:`ColumnStore.patched` hands the same dict to

@@ -9,7 +9,9 @@ set-wrapped, i.e. every multi-level shred class incl. opaque):
 
 * the vectorized hash join (either build side, columnar or row-list
   inputs) returns exactly the nested-loop oracle's pairs, ``maybe``
-  flags included;
+  flags included — also when both sides are narrow selections of one
+  patched store (appended, tombstoned and resurrected rows) over many
+  keys, type-strict ones among them;
 * the columnar aggregate kernels (plain and grouped) equal the per-row
   ``path_alternatives`` oracle;
 * parallel partial aggregation is lossless: accumulators folded over
@@ -140,6 +142,99 @@ def test_join_query_matches_naive(left, right, lcond, rcond, on):
         right_query = right_query.where(rcond)
     join = JoinQuery(left_query, right_query, on)
     assert join.rows() == join.rows(naive=True)
+
+
+# ---------------------------------------------------------------------------
+# Both sides on one shared, patched store — the shape of
+# ``Database.join_query``: many keys, narrow side selections.
+# ---------------------------------------------------------------------------
+
+#: Many keys, so a narrow side selects few of them, and the type-strict
+#: keys ``1``, ``True``, ``1.0`` and ``"1"`` — four different join keys,
+#: exactly as ``Atom`` equality — drawn as often as all the strings.
+WIDE_KEYS = tuple(f"t{i:02d}" for i in range(40))
+STRICT_KEYS = (1, True, 1.0, "1")
+
+wide_keys = st.one_of(st.sampled_from(WIDE_KEYS),
+                      st.sampled_from(STRICT_KEYS))
+
+
+def _strict(value):
+    return (type(value), value)
+
+
+wide_key_values = st.one_of(
+    wide_keys.map(Atom),
+    st.lists(wide_keys, min_size=2, max_size=3,
+             unique_by=_strict).map(lambda vs: orv(*vs)),
+    st.lists(wide_keys, min_size=1, max_size=2,
+             unique_by=_strict).map(lambda vs: cset(*vs)),
+    st.lists(wide_keys, min_size=2, max_size=2,
+             unique_by=_strict).map(lambda vs: orv(orv(*vs), bottom)),
+    st.just(pset(bottom)),
+)
+
+
+@st.composite
+def wide_rows(draw, name):
+    fields = {"band": Atom(draw(st.integers(0, 9)))}
+    if draw(st.integers(0, 5)):
+        fields["title"] = draw(wide_key_values)
+    if draw(st.booleans()):
+        fields["type"] = Atom(draw(st.sampled_from(("a", "b"))))
+    return Data(Marker(name), tup(**fields))
+
+
+@st.composite
+def shared_stores(draw):
+    """``(store, live)``: one ``ColumnStore`` patched through appends
+    (its positions leave canonical order), tombstones and one
+    resurrection, and the live data it covers."""
+    count = draw(st.integers(10, 40))
+    data = [draw(wide_rows(f"w{i:03d}")) for i in range(count)]
+    split = draw(st.integers(1, count))
+    base, appended = data[:split], data[split:]
+    store = ColumnStore.build(DataSet(base))
+    if appended:
+        store = store.patched([], appended)
+    dead = draw(st.lists(st.sampled_from(data), max_size=count // 3,
+                         unique=True))
+    store = store.patched(dead, [])
+    if dead:
+        store = store.patched([], dead[:1])
+        dead = dead[1:]
+    live = DataSet([datum for datum in data if datum not in dead])
+    return store, live
+
+
+narrow_conditions = st.one_of(
+    st.integers(0, 9).map(lambda band: Eq("band", band)),
+    st.integers(0, 9).map(lambda band: And(Eq("band", band),
+                                           Exists("title"))),
+    st.integers(0, 9).map(lambda band: And(Eq("band", band),
+                                           Eq("type", "a"))),
+)
+
+
+@CASES
+@given(shared_stores(), narrow_conditions, narrow_conditions, on_paths)
+def test_join_over_one_patched_store_matches_naive(shared, lcond, rcond,
+                                                   on):
+    """Narrow selections of one patched store, as ``join_query`` runs
+    them, equal the nested-loop oracle, and both build sides of the
+    hash join over those selections agree."""
+    store, live = shared
+    left_query = Query(live).where(lcond).with_columns(store)
+    right_query = Query(live).where(rcond).with_columns(store)
+    join = JoinQuery(left_query, right_query, on)
+    expected = join.rows(naive=True)
+    assert join.rows() == expected
+    steps = (on,) if isinstance(on, str) else on
+    left = JoinQuery._side(left_query, False)
+    right = JoinQuery._side(right_query, False)
+    assert left.vectorized and right.vectorized
+    assert hash_join(left, right, steps, build="left") == expected
+    assert hash_join(left, right, steps, build="right") == expected
 
 
 AGGS = {

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.builder import bottom, cset, dataset, orv, pset, tup
 from repro.core.errors import QueryError
+from repro.core.objects import Marker
 from repro.query import (
     Bounds,
     Collect,
     Count,
+    Eq,
     Exists,
     Ge,
     JoinQuery,
@@ -17,6 +19,7 @@ from repro.query import (
     Sum,
 )
 from repro.query.parser import parse_query_spec, run_query
+from repro.store import ColumnStore
 from tests.query.test_ast import library
 
 
@@ -194,6 +197,68 @@ class TestJoins:
         assert len(join_mod._KEY_MEMO) > 0
         clear_pool()
         assert len(join_mod._KEY_MEMO) == 0
+
+
+def titled(size):
+    """``size`` rows with unique titles, shredded; ``year`` and
+    ``band`` each select a tenth of the rows, and one row in a hundred
+    is in both selections."""
+    data = dataset(*[(f"D{i:05d}",
+                      tup(title=f"title {i}", year=i % 10,
+                          band=i // 10 % 10))
+                     for i in range(size)])
+    return data, ColumnStore.build(data)
+
+
+class TestJoinCost:
+    """The columnar build costs the selected rows, not the key column's
+    distinct values: a join neither builds the key column's eq-index
+    nor decodes one bitset per key."""
+
+    def test_build_follows_the_selected_rows(self, monkeypatch):
+        from repro.store import columnar
+
+        calls = []
+        original = columnar.bit_positions
+        monkeypatch.setattr(columnar, "bit_positions",
+                            lambda bits: calls.append(bits)
+                            or original(bits))
+        counts = []
+        for size in (200, 2000):
+            data, store = titled(size)
+            join = JoinQuery(
+                Query(data).where(Eq("year", 3)).with_columns(store),
+                Query(data).where(Eq("band", 3)).with_columns(store),
+                "title")
+            calls.clear()
+            rows = join.rows()
+            counts.append(len(calls))
+            assert len(rows) == size // 100
+            assert rows == join.rows(naive=True)
+            assert store.column(("title",))._eq_index is None
+        assert counts[0] == counts[1]
+        assert join.explain().estimated_pairs is not None
+
+    def test_explain_reports_the_side_rows_hashes(self):
+        """The build side is the smaller *selection*: a side whose plan
+        estimate is inflated by maybe-rows that fail their check still
+        builds, and ``explain`` says so."""
+        left = dataset(("L0", tup(title="t0", ref=1)),
+                       *[(f"L{i}", tup(title=f"t{i}",
+                                       ref=orv(Marker("m"), 5)))
+                         for i in range(1, 11)])
+        right = dataset(*[(f"R{i}", tup(title=f"t{i}")) for i in range(3)])
+        join = JoinQuery(
+            Query(left).where(Eq("ref", 1)).with_columns(
+                ColumnStore.build(left)),
+            Query(right).where(Exists("title")).with_columns(
+                ColumnStore.build(right)),
+            "title")
+        plan = join.explain(analyze=True)
+        assert plan.estimated_left > plan.estimated_right
+        assert (plan.actual_left, plan.actual_right) == (1, 3)
+        assert plan.build == "left"
+        assert plan.actual_pairs == len(join.rows()) == 1
 
 
 class TestPlanRendering:

@@ -221,6 +221,57 @@ class TestBuildClassification:
         assert len(query.run()) == 1
 
 
+class TestIndexBuild:
+    """The eq-index and the possible-value index hold one bitset per
+    type-strict key over exactly the positions that reach it, for keys
+    seen once, keys seen again and keys reached twice from one
+    entry."""
+
+    def test_eq_index_unique_repeated_and_type_strict_keys(self):
+        values = ["t0", 1, True, "t1", 1.0, "1", None, 1, "t0", True,
+                  "t2"]
+        column = Column(values, 0, 0, 0, 0, {})
+        assert column.eq_index() == {
+            (str, "t0"): 1 << 0 | 1 << 8,
+            (int, 1): 1 << 1 | 1 << 7,
+            (bool, True): 1 << 2 | 1 << 9,
+            (str, "t1"): 1 << 3,
+            (float, 1.0): 1 << 4,
+            (str, "1"): 1 << 5,
+            (str, "t2"): 1 << 10,
+        }
+        assert column.distinct_count() == 7
+        assert column.eq_bits(1) == 1 << 1 | 1 << 7
+        assert column.eq_bits(True) == 1 << 2 | 1 << 9
+        assert column.eq_bits(1.0) == 1 << 4
+
+    def test_possible_index_counts_an_entry_once_per_key(self):
+        extras = {
+            # "a" is reached twice from entry 0 (the atom and the
+            # or-value's disjunct), and again at 2; "z" only twice
+            # from entry 1.
+            0: cset("a", orv("a", "b")),
+            1: cset("z", orv("z", "y")),
+            2: orv("a", 1, True),
+            3: orv(1.0, "1"),
+            4: pset("c", Marker("m")),
+        }
+        column = Column([None] * 5, 0b11111, 0b11111, 0, 0, extras)
+        buckets, fallback = column.possible_index()
+        assert buckets == {
+            (str, "a"): 1 << 0 | 1 << 2,
+            (str, "b"): 1 << 0,
+            (str, "z"): 1 << 1,
+            (str, "y"): 1 << 1,
+            (int, 1): 1 << 2,
+            (bool, True): 1 << 2,
+            (float, 1.0): 1 << 3,
+            (str, "1"): 1 << 3,
+            (str, "c"): 1 << 4,
+        }
+        assert fallback == 1 << 4
+
+
 class TestPatched:
     def test_remove_tombstones(self):
         data = list(library())

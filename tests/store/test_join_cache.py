@@ -73,7 +73,7 @@ class TestJoinCache:
         assert second is first
 
     def test_probe_side_only_write_invalidates(self):
-        # The build side (smaller estimated input) never sees this
+        # The build side (the smaller selection) never sees this
         # write; the probe side gains a matching row. A footprint
         # limited to one side would serve the stale two-pair result.
         db = Database(seed_rows())
