@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Benchmark: the concurrent serving layer — result cache and parallel scan.
+"""Benchmark: the concurrent serving layer — the query-result cache.
 
 The workload is one ``workloads.bibgen`` source of 10k entries loaded
-into a :class:`~repro.store.database.Database`. Three phases:
+into a :class:`~repro.store.database.Database`. Two phases:
 
 * ``cached_read`` — a mixed batch of textual queries (index probes plus
   residual scans) runs in a loop against two databases built from the
@@ -18,17 +18,6 @@ into a :class:`~repro.store.database.Database`. Three phases:
   ``retags > 0`` with zero stale reads (every sampled read compares a
   pinned :class:`~repro.store.database.DatabaseView` result against its
   own naive scan).
-* ``parallel_scan`` — residual-heavy queries over unindexed paths run
-  sequentially and through the sharded executor
-  (:class:`~repro.query.parallel.ParallelExecutor` via
-  ``Database.query(parallel=N)``). The headline ``parallel_speedup`` is
-  sequential seconds / parallel seconds, with the parallel-vs-naive
-  oracle asserted per query. The ``2×`` floor applies only to full
-  (non-smoke) runs on hosts with at least two CPUs — the report records
-  ``cpu_count`` so a single-core box degrades the *floor*, never the
-  oracle. Smoke runs use thread mode: the ratio then gauges fan-out
-  overhead stability rather than speedup, which is what the regression
-  gate needs from a tiny workload.
 
 All equality oracles run on **every** invocation, full and smoke.
 
@@ -43,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 import time
@@ -61,9 +49,6 @@ from repro.workloads import (  # noqa: E402
 #: Full-run floor: cached re-reads must beat uncached execution by this.
 MIN_CACHED_SPEEDUP = 5.0
 
-#: Full-run floor for the sharded scan — only on multi-core hosts.
-MIN_PARALLEL_SPEEDUP = 2.0
-
 #: Attribute paths the cached/indexed database indexes.
 INDEX_PATHS = ("type", "year")
 
@@ -76,14 +61,6 @@ CACHED_QUERIES = (
     'select title, year where exists jnl order by year desc limit 20',
     'select * where pages contains "3" and type = "InProc"',
     'select * where not exists year',
-)
-
-#: Residual-heavy scans over unindexed paths for the parallel phase.
-SCAN_QUERIES = (
-    'select * where title contains "Query"',
-    'select * where author contains "a" and pages contains "1"',
-    'select title where jnl contains "Journal" order by title limit 25',
-    'select * where pages contains "7" order by year desc limit 15',
 )
 
 
@@ -197,63 +174,13 @@ def _phase_concurrent_readers(dataset, readers: int, writes: int,
     }
 
 
-def _phase_parallel_scan(dataset, workers: int, mode: str,
-                         repeats: int) -> dict:
-    database = Database(dataset, result_cache_size=0)
-    mismatches: list[str] = []
-
-    for text in SCAN_QUERIES:  # parse-cache warmup + oracle
-        if database.query(text, parallel=workers,
-                          parallel_mode=mode) != \
-                database.query(text, naive=True):
-            mismatches.append(text)
-
-    # Untimed warm pass of BOTH timed paths. The first sequential
-    # planner-path execution builds lazy per-state structures (column
-    # shredding, key of the historical parallel_speedup drift in the
-    # smoke baseline) and the first parallel execution spins up the
-    # executor pool for this state; neither one-time cost belongs in
-    # the steady-state comparison below.
-    for text in SCAN_QUERIES:
-        database.query(text)
-        database.query(text, parallel=workers, parallel_mode=mode)
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for text in SCAN_QUERIES:
-            database.query(text)
-    sequential_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for text in SCAN_QUERIES:
-            database.query(text, parallel=workers, parallel_mode=mode)
-    parallel_seconds = time.perf_counter() - start
-
-    database.close()
-    return {
-        "queries": len(SCAN_QUERIES),
-        "repeats": repeats,
-        "workers": workers,
-        "mode": mode,
-        "sequential_seconds": round(sequential_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "speedup": round(sequential_seconds / parallel_seconds, 2)
-        if parallel_seconds else None,
-        "mismatches": mismatches,
-    }
-
-
 def run(entries: int, *, repeats: int, readers: int, writes: int,
-        reads_per_thread: int, workers: int, mode: str,
-        seed: int = 23) -> dict:
+        reads_per_thread: int, seed: int = 23) -> dict:
     dataset = _build_dataset(entries, seed)
     phases = {
         "cached_read": _phase_cached_read(dataset, repeats),
         "concurrent_readers": _phase_concurrent_readers(
             dataset, readers, writes, reads_per_thread),
-        "parallel_scan": _phase_parallel_scan(
-            dataset, workers, mode, repeats),
     }
     return {
         "benchmark": "concurrency",
@@ -262,10 +189,8 @@ def run(entries: int, *, repeats: int, readers: int, writes: int,
             "dataset_rows": len(dataset),
             "index_paths": list(INDEX_PATHS),
         },
-        "cpu_count": os.cpu_count(),
         "phases": phases,
         "cached_read_speedup": phases["cached_read"]["speedup"],
-        "parallel_speedup": phases["parallel_scan"]["speedup"],
         "oracle_equal": all(not phase["mismatches"]
                             for phase in phases.values()),
     }
@@ -275,17 +200,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload for CI (skips the speedup "
-                             "floors, keeps every equality oracle)")
+                             "floor, keeps every equality oracle)")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the JSON report to this path")
     args = parser.parse_args(argv)
 
     if args.smoke:
         report = run(entries=300, repeats=10, readers=2, writes=20,
-                     reads_per_thread=40, workers=2, mode="thread")
+                     reads_per_thread=40)
     else:
         report = run(entries=10_000, repeats=20, readers=4, writes=200,
-                     reads_per_thread=300, workers=4, mode="process")
+                     reads_per_thread=300)
 
     text = json.dumps(report, indent=2)
     print(text)
@@ -311,18 +236,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: cached-read speedup {cached}x is below the "
                   f"{MIN_CACHED_SPEEDUP}x floor", file=sys.stderr)
             failures += 1
-        parallel = report["parallel_speedup"]
-        cpus = report["cpu_count"] or 1
-        if cpus >= 2 and (parallel is None
-                          or parallel < MIN_PARALLEL_SPEEDUP):
-            print(f"FAIL: parallel speedup {parallel}x is below the "
-                  f"{MIN_PARALLEL_SPEEDUP}x floor on a {cpus}-CPU host",
-                  file=sys.stderr)
-            failures += 1
-        elif cpus < 2:
-            print(f"note: single-CPU host; the {MIN_PARALLEL_SPEEDUP}x "
-                  f"parallel floor is not enforced (measured "
-                  f"{parallel}x)", file=sys.stderr)
     return 1 if failures else 0
 
 

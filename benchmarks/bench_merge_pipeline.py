@@ -11,8 +11,7 @@ strategy:
   baseline);
 * ``indexed`` — the same pairwise fold probing a per-step key index;
 * ``blocked`` — the k-way signature-blocked pipeline
-  (:func:`repro.store.bulk.blocked_union`);
-* ``parallel`` — the blocked pipeline sharded over worker processes.
+  (:func:`repro.store.bulk.blocked_union`).
 
 Two contracts are enforced on every run, full and smoke:
 
@@ -53,13 +52,9 @@ from repro.workloads import (  # noqa: E402
 #: naive fold by at least this factor on the full workload.
 MIN_SPEEDUP = 3.0
 
-#: Worker processes for the parallel variant.
-WORKERS = 4
 
-
-def _merge(sources, strategy: str, parallel: int = 0):
-    spec = MergeSpec(default_key=frozenset({"title"}),
-                     strategy=strategy, parallel=parallel)
+def _merge(sources, strategy: str):
+    spec = MergeSpec(default_key=frozenset({"title"}), strategy=strategy)
     engine = MergeEngine(spec)
     for index, source in enumerate(sources):
         engine.add_source(f"source{index}", source)
@@ -94,15 +89,12 @@ def run(entries: int, sources: int, oracle_entries: int) -> dict:
     naive_seconds, naive = _merge(workload.sources, "naive")
     indexed_seconds, indexed = _merge(workload.sources, "indexed")
     blocked_seconds, blocked = _merge(workload.sources, "blocked")
-    parallel_seconds, parallel = _merge(workload.sources, "blocked",
-                                        parallel=WORKERS)
 
     # The structural contract, enforced on every benchmark run: one
-    # fold, four organizations, identical results.
+    # fold, three organizations, identical results.
     equal = {
         "indexed": indexed.dataset == naive.dataset,
         "blocked": blocked.dataset == naive.dataset,
-        "parallel": parallel.dataset == naive.dataset,
     }
     expected_size = workload.expected_result_size()
     return {
@@ -118,10 +110,8 @@ def run(entries: int, sources: int, oracle_entries: int) -> dict:
         "naive_seconds": round(naive_seconds, 6),
         "indexed_seconds": round(indexed_seconds, 6),
         "blocked_seconds": round(blocked_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
         "speedup_blocked": round(naive_seconds / blocked_seconds, 2),
         "speedup_indexed": round(naive_seconds / indexed_seconds, 2),
-        "speedup_parallel": round(naive_seconds / parallel_seconds, 2),
         "results_equal": equal,
         "ground_truth_size_ok": len(naive.dataset) == expected_size,
         "oracle": _oracle_check(oracle_entries, min(sources, 4), seed=3),

@@ -4,7 +4,7 @@
 The workload is one ``workloads.bibgen`` source of 10k entries loaded
 into a :class:`~repro.store.database.Database` with attribute indexes
 on ``type``, ``title``, ``year`` and ``author`` and a warmed
-``{type, title}`` key index. Four phases compare the two on-disk
+``{type, title}`` key index. Three phases compare the two on-disk
 formats:
 
 * ``save`` — ``Database.save`` to JSON vs binary (same fsync path);
@@ -14,11 +14,7 @@ formats:
   additionally restores the persisted key/attribute indexes instead of
   rebuilding;
 * ``load_query`` — cold load plus the first point query, the
-  "time to first answer" a service restart actually cares about;
-* ``shard_ipc`` — the parallel-merge worker protocol: shard payload
-  encode → worker decode/fold/encode → parent decode, via the binary
-  wire format vs the old double-JSON round-trip (reproduced here
-  verbatim for comparison).
+  "time to first answer" a service restart actually cares about.
 
 Save/load phases interleave the two formats round-robin and report the
 fastest of ``REPEAT`` runs each, so a scheduler hiccup on a shared
@@ -29,8 +25,7 @@ Equality oracles run on **every** run, full and smoke:
 * the binary-loaded database equals the JSON-loaded one (same data);
 * the index-warm binary load answers queries identically to a database
   whose indexes are rebuilt from scratch, and its restored postings are
-  structurally identical to the rebuilt ones;
-* both shard-IPC paths produce identical folded data.
+  structurally identical to the rebuilt ones.
 
 The full run additionally requires binary save and cold load to beat
 JSON by at least ``MIN_SPEEDUP``× each.
@@ -46,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import subprocess
 import sys
@@ -57,16 +51,7 @@ from pathlib import Path
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, _SRC)
 
-from repro.binary_codec import Decoder  # noqa: E402
 from repro.core.intern import clear_pool  # noqa: E402
-from repro.json_codec.codec import decode_data, encode_data  # noqa: E402
-from repro.store.bulk import (  # noqa: E402
-    _encode_shard,
-    _fold_block,
-    _merge_shard,
-    _partition_sources,
-    _shard_blocks,
-)
 from repro.store.database import Database  # noqa: E402
 from repro.workloads import (  # noqa: E402
     BibWorkloadSpec,
@@ -140,63 +125,6 @@ def _build_database(entries: int, seed: int) -> Database:
     probe = next(iter(database.snapshot()))
     database.compatible_with(probe, KEY)  # warm the key index
     return database
-
-
-def _json_shard_roundtrip(shard, key) -> list:
-    """The pre-binary worker protocol, kept here as the baseline: JSON
-    string out, JSON string back, four codec layers per datum."""
-    payload = json.dumps({
-        "key": sorted(key),
-        "blocks": [[[encode_data(datum) for datum in slab]
-                    for slab in slabs] for slabs in shard],
-    })
-    decoded = json.loads(payload)
-    shard_key = frozenset(decoded["key"])
-    merged = []
-    for slabs in decoded["blocks"]:
-        rows = [[decode_data(entry, intern=True) for entry in slab]
-                for slab in slabs]
-        merged.extend(encode_data(datum)
-                      for datum in _fold_block(rows, shard_key))
-    result = json.dumps(merged)
-    return [decode_data(entry) for entry in json.loads(result)]
-
-
-def _binary_shard_roundtrip(shard, key) -> list:
-    """The live worker protocol: one value table per shard payload."""
-    result = _merge_shard(_encode_shard(shard, key))
-    return list(Decoder(io.BytesIO(result)).iter_data())
-
-
-def _phase_shard_ipc(entries: int, seed: int) -> dict:
-    workload = generate_workload(BibWorkloadSpec(
-        entries=entries, sources=3, overlap=0.5, conflict_rate=0.3,
-        partial_author_rate=0.3, seed=seed))
-    key = workload.key
-    blocks, _, _ = _partition_sources(workload.sources, key)
-    multi = [slabs for slabs in blocks.values() if len(slabs) > 1]
-    shards = _shard_blocks(multi, 4)
-
-    start = time.perf_counter()
-    via_json = [_json_shard_roundtrip(shard, key) for shard in shards]
-    json_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    via_binary = [_binary_shard_roundtrip(shard, key)
-                  for shard in shards]
-    binary_seconds = time.perf_counter() - start
-
-    equal = all(set(a) == set(b)
-                for a, b in zip(via_json, via_binary))
-    return {
-        "shards": len(shards),
-        "folded_rows": sum(len(rows) for rows in via_binary),
-        "json_seconds": round(json_seconds, 6),
-        "binary_seconds": round(binary_seconds, 6),
-        "speedup": round(json_seconds / binary_seconds, 2)
-        if binary_seconds else None,
-        "results_equal": equal,
-    }
 
 
 def run(entries: int, seed: int = 19) -> dict:
@@ -276,8 +204,6 @@ def run(entries: int, seed: int = 19) -> dict:
                      'select * where exists author'))
     index_warm = from_binary.explain(query_text).strategy == "index"
 
-    shard_ipc = _phase_shard_ipc(max(entries // 10, 50), seed)
-
     return {
         "benchmark": "snapshot",
         "workload": {
@@ -299,7 +225,6 @@ def run(entries: int, seed: int = 19) -> dict:
             "json_seconds": round(json_query_seconds, 6),
             "binary_seconds": round(binary_query_seconds, 6),
         },
-        "shard_ipc": shard_ipc,
         "save_speedup": round(json_save_seconds / binary_save_seconds, 2)
         if binary_save_seconds else None,
         "cold_load_speedup": round(
@@ -348,10 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     if not report["index_warm"]:
         print("FAIL: binary load did not restore an index-strategy "
               "plan", file=sys.stderr)
-        return 1
-    if not report["shard_ipc"]["results_equal"]:
-        print("FAIL: binary shard IPC folds differ from the JSON path",
-              file=sys.stderr)
         return 1
     if not args.smoke:
         for ratio in ("save_speedup", "cold_load_speedup"):

@@ -40,7 +40,6 @@ from repro.core.data import DataSet
 from repro.core.errors import ReproError
 from repro.json_codec import dumps_dataset, loads_dataset
 from repro.merge import MergeEngine, MergeSpec
-from repro.query.parser import run_query
 from repro.text import format_dataset, parse_dataset
 
 __all__ = ["main"]
@@ -94,8 +93,7 @@ def _key(args: argparse.Namespace) -> frozenset[str]:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     engine = MergeEngine(MergeSpec(default_key=_key(args),
-                                   strategy=args.strategy,
-                                   parallel=args.parallel))
+                                   strategy=args.strategy))
     for index, path in enumerate(args.files):
         engine.add_source(f"source{index}:{Path(path).name}",
                           _load(path, args.from_format))
@@ -183,53 +181,36 @@ def _print(text: str, args: argparse.Namespace) -> None:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.query.parser import parse_query_spec
+    from repro.store.database import Database
 
     dataset = _load(args.file, args.from_format)
     if args.join and not args.on:
         raise ReproError("--join requires at least one --on key path")
     if args.on and not args.join:
         raise ReproError("--on only applies with --join")
-    if args.join:
-        # Two selections of the same store joined on key path(s);
-        # explain renders the JoinPlan (build/probe, est vs actual).
-        from repro.store.database import Database
-
-        with Database(dataset, index_paths=args.index or ()) as database:
+    # Every form runs through one Database, so a plan sees exactly what
+    # execution would: the attribute index and the columnar shredding.
+    with Database(dataset, index_paths=args.index or ()) as database:
+        if args.join:
+            # Two selections of the same store joined on key path(s);
+            # explain renders the JoinPlan (build/probe, est vs actual).
             on = tuple(args.on)
             if args.explain:
                 plan = database.explain_join(args.query, args.join, on,
                                              analyze=True)
                 print(plan.describe())
-                return 0
-            rows = database.join_query(args.query, args.join, on)
-            _print(_render_join_rows(rows), args)
-        return 0
-    if args.explain:
-        # The plan sees exactly what execution would: the database's
-        # attribute index and columnar shredding.
-        from repro.store.database import Database
-
-        with Database(dataset, index_paths=args.index or ()) as database:
-            print(database.explain(args.query, analyze=True).describe())
-        return 0
-    is_aggregate = parse_query_spec(args.query).is_aggregate
-    if args.index or args.parallel:
-        # Route through a Database so the query gets the planner's
-        # attribute-index probes and/or the sharded parallel executor.
-        from repro.store.database import Database
-
-        with Database(dataset, index_paths=args.index or ()) as database:
-            result = database.query(args.query, parallel=args.parallel)
-            if is_aggregate:
-                _print(_render_aggregate(result), args)
             else:
-                _emit(result, args)
+                rows = database.join_query(args.query, args.join, on)
+                _print(_render_join_rows(rows), args)
+            return 0
+        if args.explain:
+            print(database.explain(args.query, analyze=True).describe())
+            return 0
+        result = database.query(args.query)
+    if parse_query_spec(args.query).is_aggregate:
+        _print(_render_aggregate(result), args)
     else:
-        result = run_query(args.query, dataset)
-        if is_aggregate:
-            _print(_render_aggregate(result), args)
-        else:
-            _emit(result, args)
+        _emit(result, args)
     return 0
 
 
@@ -422,9 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="blocked",
                        help="fold organization (identical results; "
                             "default: blocked)")
-    merge.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="merge signature blocks on N worker "
-                            "processes (default: 0, sequential)")
     merge.set_defaults(handler=_cmd_merge)
 
     for name, help_text in (("diff", "first source minus the second"),
@@ -453,9 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--index", action="append", metavar="PATH",
                        help="build an attribute index over PATH before "
                             "querying (repeatable)")
-    query.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="fan the scan phase out over N shard "
-                            "workers (0 = sequential)")
     query.add_argument("--explain", action="store_true",
                        help="print the physical plan (strategy, "
                             "estimated and actual rows) instead of "

@@ -16,13 +16,12 @@ same per-class key handling.
 
 The fold itself is organized by ``MergeSpec.strategy``: the default
 ``"blocked"`` strategy hands each class partition to the k-way
-signature-blocked pipeline (:func:`repro.store.bulk.blocked_union`,
-optionally parallel across worker processes), ``"indexed"`` runs the
-pairwise fold through the key index, and ``"naive"`` keeps the
-definitional :meth:`DataSet.union` scans. All strategies produce
-structurally identical results — the fold order is the source
-registration order in every case, which matters because ``∪K`` is
-commutative but not associative.
+signature-blocked pipeline (:func:`repro.store.bulk.blocked_union`),
+``"indexed"`` runs the pairwise fold through the key index, and
+``"naive"`` keeps the definitional :meth:`DataSet.union` scans. All
+strategies produce structurally identical results — the fold order is
+the source registration order in every case, which matters because
+``∪K`` is commutative but not associative.
 """
 
 from __future__ import annotations
@@ -171,8 +170,7 @@ class MergeEngine:
         result: list[Data] = []
         for class_name, slabs in classes.items():
             key = self._spec.key_for_class(class_name)
-            result.extend(blocked_union(
-                slabs, key, parallel=self._spec.parallel))
+            result.extend(blocked_union(slabs, key))
         return DataSet(result)
 
     def merge(self) -> MergeResult:

@@ -49,8 +49,6 @@ class MergeSpec:
             (the k-way signature-blocked pipeline of
             :mod:`repro.store.bulk`, the default). Results are
             structurally identical under every strategy.
-        parallel: worker processes for the blocked strategy's
-            per-block folds; ``0`` (the default) stays sequential.
 
     The type attribute is implicitly part of every key (like in the
     paper's Example 6, where ``K = {type, title}``): the engine partitions
@@ -61,7 +59,6 @@ class MergeSpec:
     type_attribute: str = "type"
     per_class: Mapping[str, frozenset[str]] = field(default_factory=dict)
     strategy: str = "blocked"
-    parallel: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "default_key",
@@ -76,10 +73,6 @@ class MergeSpec:
             raise MergeError(
                 f"unknown merge strategy {self.strategy!r}; expected one "
                 f"of {', '.join(STRATEGIES)}")
-        if not isinstance(self.parallel, int) or self.parallel < 0:
-            raise MergeError(
-                f"parallel must be a non-negative worker count, got "
-                f"{self.parallel!r}")
 
     def class_of(self, datum: Data) -> str:
         """Return the class name of a datum.

@@ -42,7 +42,6 @@ from repro.query.compile import (
     compile_condition,
     invalidation_profile,
 )
-from repro.query.parallel import ParallelExecutor
 from repro.query.parser import (
     QuerySpec,
     parse_query,
@@ -60,7 +59,6 @@ from repro.query.planner import (
     JoinPlan,
     Plan,
     Probe,
-    columnar_shard_positions,
     explain_plan,
     select_data,
 )
@@ -75,6 +73,4 @@ __all__ = [
     "compile_condition", "compile_columnar", "invalidation_profile",
     "select_data", "explain_plan", "Plan", "Probe",
     "JoinPlan", "AggregatePlan",
-    "columnar_shard_positions",
-    "ParallelExecutor",
 ]

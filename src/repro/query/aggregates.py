@@ -18,7 +18,7 @@ reach under *some* resolution (the spread semantics of
 :func:`~repro.query.paths.evaluate_path`), which is already an exact
 description of the possibilities.
 
-The same accumulator runs three ways and must agree exactly:
+The same accumulator runs two ways and must agree exactly:
 
 * :func:`aggregate_rows` — the per-row definitional oracle
   (``naive=True``);
@@ -26,18 +26,14 @@ The same accumulator runs three ways and must agree exactly:
   :class:`~repro.store.columnar.ColumnStore`: scalar rows fold through
   flat primitive arrays (:meth:`Column.numeric_stats`, popcounts,
   eq-index buckets) and only irregular/residue rows fall back to the
-  per-row resolver;
-* the parallel partial-aggregate pushdown
-  (:meth:`~repro.query.parallel.ParallelExecutor.aggregate`): each
-  shard returns its accumulators as a :meth:`Accumulator.payload`,
-  and the parent merges them.
+  per-row resolver.
 
-Agreement across all three holds because an accumulator is a *bag of
-contributions* combined by a deterministic, order-independent fold:
-exact contributions commute, and uncertain contributions are sorted
-before the possible-outcome set is enumerated. (Float sums are exact
-only up to float associativity — integer data, the common case, is
-bit-exact.)
+Agreement holds because an accumulator is a *bag of contributions*
+combined by a deterministic, order-independent fold: the kernel adds
+its rows in a different order than the oracle, but exact contributions
+commute, and uncertain contributions are sorted before the
+possible-outcome set is enumerated. (Float sums are exact only up to
+float associativity — integer data, the common case, is bit-exact.)
 
 Grouped aggregation (:func:`group_aggregate_rows` /
 :func:`group_aggregate_columnar`) keeps the overlapping-groups
@@ -74,9 +70,7 @@ __all__ = [
     "AggregateSpec", "Bounds", "Count", "Sum", "Min", "Max", "Collect",
     "Accumulator", "path_alternatives", "aggregate_rows",
     "aggregate_columnar", "group_aggregate_rows",
-    "group_aggregate_columnar", "partial_aggregate_columnar",
-    "partial_group_columnar", "merge_grouped", "finish_grouped",
-    "grouped_payload", "grouped_from_payload",
+    "group_aggregate_columnar", "finish_grouped",
 ]
 
 #: Alternatives tracked per row before degrading to interval bounds.
@@ -266,19 +260,19 @@ def _none_last_key(alt: tuple) -> tuple:
     return tuple(_none_last_value(value) for value in alt)
 
 
-# -- the mergeable accumulator -------------------------------------------------
+# -- the accumulator -----------------------------------------------------------
 
 
 class Accumulator:
-    """One aggregate's partial state — mergeable across shards.
+    """One aggregate's state while its rows are folded in.
 
     Contributions accumulate into three commutative buckets: an exact
     part (plain numbers / a definite count / collected values), a list
     of per-row *alternative* contributions (the or-value cases), and a
     list of coarse ``(lo, hi)`` ranges (rows past the alternative cap).
     :meth:`finish` combines them deterministically — the alternative
-    list is sorted before enumeration — so a merge of shard
-    accumulators finishes to exactly the sequential result.
+    list is sorted before enumeration — so the order in which rows
+    arrive never changes the result.
     """
 
     __slots__ = ("kind", "lo_count", "hi_count", "exact", "best",
@@ -380,18 +374,7 @@ class Accumulator:
             self.best = (min if self.kind == "min" else max)(self.best,
                                                              value)
 
-    # -- merge / finish --------------------------------------------------------
-
-    def merge(self, other: "Accumulator") -> None:
-        if other.kind != self.kind:
-            raise QueryError("cannot merge accumulators of different kinds")
-        self.lo_count += other.lo_count
-        self.hi_count += other.hi_count
-        self.exact += other.exact
-        self._merge_best(other.best)
-        self.alts.extend(other.alts)
-        self.ranges.extend(other.ranges)
-        self.values.update(other.values)
+    # -- finish ----------------------------------------------------------------
 
     def finish(self):
         kind = self.kind
@@ -469,32 +452,6 @@ class Accumulator:
         if right is None:
             return left
         return pick(left, right)
-
-    # -- wire format (parallel partial-aggregate pushdown) --------------------
-
-    def payload(self) -> tuple:
-        """Pure-python/bytes state, safe to pickle across a pipe
-        (:class:`~repro.core.objects.SSObject` values travel through
-        the binary codec)."""
-        from repro.binary_codec import dumps_object
-
-        return (self.kind, self.lo_count, self.hi_count, self.exact,
-                self.best, tuple(self.alts), tuple(self.ranges),
-                tuple(dumps_object(value)
-                      for value in sort_objects(self.values)))
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "Accumulator":
-        from repro.binary_codec import loads_object
-
-        acc = cls(payload[0])
-        (acc.lo_count, acc.hi_count, acc.exact,
-         acc.best) = payload[1:5]
-        acc.alts = [tuple(alt) for alt in payload[5]]
-        acc.ranges = [tuple(r) for r in payload[6]]
-        acc.values = {loads_object(blob, intern=True)
-                      for blob in payload[7]}
-        return acc
 
 
 # -- per-row intake shared by oracle and kernel fall-backs ---------------------
@@ -638,28 +595,20 @@ def _columnar_into(acc: Accumulator, store, mask: int,
             acc.add_row(alternatives)
 
 
-def partial_aggregate_columnar(store, mask: int,
-                               aggs: Mapping[str, AggregateSpec],
-                               ) -> dict[str, Accumulator]:
-    """The vectorized kernel's partial form: unfinished accumulators,
-    mergeable across shards (the pushdown's per-worker step)."""
-    aggs = _normalize(aggs)
-    out: dict[str, Accumulator] = {}
-    alt_cache = _store_alt_cache(store)
-    for name, spec in aggs.items():
-        acc = out[name] = Accumulator(spec.kind)
-        _columnar_into(acc, store, mask, spec, alt_cache)
-    return out
-
-
 def aggregate_columnar(store, mask: int,
                        aggs: Mapping[str, AggregateSpec],
                        ) -> dict[str, object]:
     """The vectorized kernel: aggregate the rows selected by ``mask``
     directly on the shredded columns; only irregular and residue rows
     fall back to the per-row resolver."""
-    return {name: acc.finish() for name, acc
-            in partial_aggregate_columnar(store, mask, aggs).items()}
+    aggs = _normalize(aggs)
+    alt_cache = _store_alt_cache(store)
+    out: dict[str, object] = {}
+    for name, spec in aggs.items():
+        acc = Accumulator(spec.kind)
+        _columnar_into(acc, store, mask, spec, alt_cache)
+        out[name] = acc.finish()
+    return out
 
 
 # -- grouped aggregation -------------------------------------------------------
@@ -753,11 +702,13 @@ def group_aggregate_rows(data: Iterable[Data], group_path: str,
     return finish_grouped(groups)
 
 
-def partial_group_columnar(store, mask: int, group_path: str,
-                           aggs: Mapping[str, AggregateSpec],
-                           ) -> dict[SSObject, dict[str, Accumulator]]:
-    """The grouped kernel's partial form: unfinished group
-    accumulators, mergeable across shards via :func:`merge_grouped`."""
+def group_aggregate_columnar(store, mask: int, group_path: str,
+                             aggs: Mapping[str, AggregateSpec],
+                             ) -> dict[SSObject, dict[str, object]]:
+    """The vectorized grouped kernel: scalar group keys partition
+    through the column eq-index (one bitset intersection per group),
+    each group's aggregates fold column-at-a-time, and only rows with
+    irregular keys — or residue rows — walk per-row."""
     from repro.store.columnar import bit_positions
 
     aggs = _normalize(aggs)
@@ -799,33 +750,10 @@ def partial_group_columnar(store, mask: int, group_path: str,
                                         steps)
 
         _row_group_fold(groups, obj, group_steps, aggs, alternatives_at)
-    return groups
+    return finish_grouped(groups)
 
 
-def group_aggregate_columnar(store, mask: int, group_path: str,
-                             aggs: Mapping[str, AggregateSpec],
-                             ) -> dict[SSObject, dict[str, object]]:
-    """The vectorized grouped kernel: scalar group keys partition
-    through the column eq-index (one bitset intersection per group),
-    each group's aggregates fold column-at-a-time, and only rows with
-    irregular keys — or residue rows — walk per-row."""
-    return finish_grouped(partial_group_columnar(store, mask,
-                                                 group_path, aggs))
-
-
-# -- grouped merge / finish / wire format (pushdown) ---------------------------
-
-
-def merge_grouped(target: dict, source: dict) -> dict:
-    """Merge grouped accumulator dicts in place (shard combine step)."""
-    for key, accs in source.items():
-        mine = target.get(key)
-        if mine is None:
-            target[key] = accs
-        else:
-            for name, acc in accs.items():
-                mine[name].merge(acc)
-    return target
+# -- grouped finish ------------------------------------------------------------
 
 
 def finish_grouped(groups: dict) -> dict[SSObject, dict[str, object]]:
@@ -833,20 +761,3 @@ def finish_grouped(groups: dict) -> dict[SSObject, dict[str, object]]:
     return {key: {name: acc.finish() for name, acc in accs.items()}
             for key, accs in ordered}
 
-
-def grouped_payload(groups: dict) -> list:
-    """Grouped accumulators as pure-python wire payload."""
-    from repro.binary_codec import dumps_object
-
-    return [(dumps_object(key),
-             {name: acc.payload() for name, acc in accs.items()})
-            for key, accs in groups.items()]
-
-
-def grouped_from_payload(payload: list) -> dict:
-    from repro.binary_codec import loads_object
-
-    return {loads_object(blob, intern=True):
-            {name: Accumulator.from_payload(state)
-             for name, state in states.items()}
-            for blob, states in payload}

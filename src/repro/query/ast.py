@@ -47,8 +47,8 @@ class Condition:
     def __getstate__(self) -> dict:
         # Memoized derivations (compiled closures, parsed steps, the
         # invalidation profile) are unpicklable or redundant; strip them
-        # so conditions travel to parallel query workers, which rebuild
-        # them locally on first use.
+        # so a condition that has been planned still pickles. The copy
+        # rebuilds them on first use.
         return {key: value for key, value in self.__dict__.items()
                 if not key.startswith("_")}
 
@@ -216,7 +216,7 @@ def project_data(selected: list[Data],
     """Project tuple-valued data onto the given top-level attributes.
 
     Non-tuple data pass through unchanged; ``projection=None`` is the
-    identity. Shared by :class:`Query` and the parallel executor.
+    identity.
     """
     if projection is None:
         return selected

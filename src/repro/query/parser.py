@@ -322,15 +322,6 @@ class QuerySpec:
         ``{label: outcome}`` dict, not a data set)."""
         return self.aggregates is not None
 
-    def order_steps(self) -> "tuple[tuple[str, ...], bool] | None":
-        """The order clause with its path parsed into steps — the shape
-        the planner and the parallel executor consume directly."""
-        if self.order is None:
-            return None
-        from repro.query.paths import parse_path
-
-        return parse_path(self.order[0]), self.order[1]
-
     def query(self, dataset: DataSet, index: object | None = None,
               columns: object | None = None) -> Query:
         """Bind the spec to a data set (and optional attribute index

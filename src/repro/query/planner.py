@@ -59,8 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.columnar import ColumnStore
 
 __all__ = ["Plan", "Probe", "JoinPlan", "AggregatePlan", "select_data",
-           "explain_plan", "plan_join", "plan_aggregate",
-           "shard_positions", "columnar_shard_positions"]
+           "explain_plan", "plan_join", "plan_aggregate"]
 
 
 @dataclass(frozen=True)
@@ -204,88 +203,6 @@ def _order_limit(selected: list[Data],
             return heapq.nsmallest(limit, selected, key=sort_key)
         ordered = sorted(selected, key=sort_key)
     return ordered if limit is None else ordered[:limit]
-
-
-def shard_positions(shard: Sequence[Data],
-                    condition: Condition | None,
-                    order: tuple[Sequence[str], bool] | None = None,
-                    limit: int | None = None) -> list[int]:
-    """Match positions within one canonical-order shard, with the
-    ``order_by`` + ``limit`` pushdown applied shard-locally.
-
-    The unit of work of the parallel executor
-    (:mod:`repro.query.parallel`): the parent splits the canonically
-    ordered data list into contiguous shards, each worker filters its
-    shard with the compiled condition and returns the *positions* of the
-    survivors (a few ints cross the process boundary instead of
-    re-encoded objects). With a limit, only a top-k superset needs to
-    travel: any global top-k element ranks within the top-k of its own
-    shard (fewer than k data precede it globally, so fewer than k
-    precede it in the shard), and both ``heapq`` selectors are stable —
-    equivalent to ``sorted(...)[:k]`` — so shard-local ties keep
-    ascending-position order, exactly the canonical tie-break the final
-    parent-side :func:`_order_limit` pass uses.
-    """
-    if condition is None:
-        matched = list(range(len(shard)))
-    else:
-        predicate = compile_condition(condition)
-        matched = [position for position, datum in enumerate(shard)
-                   if predicate(datum.object)]
-    return _limit_positions(shard, matched, order, limit)
-
-
-def columnar_shard_positions(
-        store: "ColumnStore",
-        condition: Condition | None,
-        order: tuple[Sequence[str], bool] | None = None,
-        limit: int | None = None) -> list[int]:
-    """:func:`shard_positions` over a shard's column store.
-
-    ``store`` must be tombstone-free (freshly built or decoded from the
-    wire, as every executor shard store is), so its positions coincide
-    with shard positions. Conditions the columns can't answer — or
-    shards whose rows all fell to the residue — degrade to exactly the
-    row logic of :func:`shard_positions`.
-    """
-    rows = store.rows
-    if condition is None:
-        matched = list(range(store.size))
-    else:
-        predicate = compile_condition(condition)
-        program = (compile_columnar(condition)
-                   if store.shredded_count else None)
-        if program is not None:
-            matched = store.match_positions(program, predicate)
-        else:
-            matched = [position for position, datum in enumerate(rows)
-                       if predicate(datum.object)]
-    return _limit_positions(rows, matched, order, limit)
-
-
-def _limit_positions(rows: Sequence[Data], matched: list[int],
-                     order: tuple[Sequence[str], bool] | None,
-                     limit: int | None) -> list[int]:
-    """The shard-local ``order_by`` + ``limit`` pushdown tail."""
-    if order is None:
-        return matched if limit is None else matched[:limit]
-    if limit is None or limit >= len(matched):
-        return matched
-    steps, descending = order
-    if descending:
-        def sort_key(position: int) -> tuple:
-            values = evaluate_path(rows[position].object, steps,
-                                   spread=True)
-            return (1, structural_key(values[0])) if values else (0,)
-
-        return sorted(heapq.nlargest(limit, matched, key=sort_key))
-
-    def sort_key(position: int) -> tuple:
-        values = evaluate_path(rows[position].object, steps,
-                               spread=True)
-        return (0, structural_key(values[0])) if values else (1,)
-
-    return sorted(heapq.nsmallest(limit, matched, key=sort_key))
 
 
 def _resolve_columns(columns, size: int | None) -> "ColumnStore | None":

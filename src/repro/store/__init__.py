@@ -9,7 +9,7 @@ The paper defers implementation; this package provides it:
   O(n + m) instead of O(n·m), bit-identical results (ablation S5);
 * :func:`~repro.store.bulk.blocked_union` /
   :class:`~repro.store.bulk.IncrementalUnion` — the k-way
-  signature-blocked (optionally parallel) bulk-merge pipeline;
+  signature-blocked bulk-merge pipeline;
 * :class:`~repro.store.database.Database` — an updatable, file-backed
   collection with incrementally maintained marker and key indexes,
   MVCC generation snapshots (:class:`~repro.store.database.DatabaseView`
@@ -24,7 +24,7 @@ The paper defers implementation; this package provides it:
   canonical tuples shredded into per-attribute columns (flat primitive
   arrays plus present/irregular sidecar bitsets, too-irregular rows in
   a row-fallback residue) powering the planner's columnar scan
-  strategy and the parallel executor's column-shard wire format.
+  strategy.
 """
 
 from repro.store.attr_index import AttrIndex
@@ -39,8 +39,6 @@ from repro.store.columnar import (
     Column,
     ColumnStore,
     bit_positions,
-    read_column_shard,
-    write_column_shard,
 )
 from repro.store.database import Database, DatabaseView
 from repro.store.index import (
@@ -73,5 +71,4 @@ __all__ = [
     "WriteAheadLog", "WalFrame", "WalScan", "scan_wal",
     "CommitTicket", "GroupCommitter", "fsync_directory",
     "ColumnStore", "Column", "bit_positions",
-    "write_column_shard", "read_column_shard",
 ]

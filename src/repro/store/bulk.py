@@ -1,4 +1,4 @@
-"""Blocked, optionally parallel bulk-merge pipeline.
+"""Blocked bulk-merge pipeline.
 
 The engine's Definition 12 fold ``((S1 ∪K S2) ∪K S3) ∪K …`` re-pairs the
 whole accumulator against every new source. This module restructures the
@@ -27,30 +27,15 @@ maintained one datum at a time across the whole fold, so each
 returns the exact :class:`UnionDiff` (data removed, data added), which
 lets a :class:`~repro.store.database.Database` patch its marker and key
 indexes instead of rebuilding them.
-
-**Parallel block merging**. Blocks are independent, so
-``blocked_union(..., parallel=n)`` shards the multi-source blocks over a
-process pool, shipping them through the binary wire format
-(:mod:`repro.binary_codec`): one value table per shard payload, so the
-shared substructure inside a shard crosses the process boundary once,
-and workers decode straight into interned objects instead of parsing
-tagged JSON twice. Parallelism is opt-in, deterministic (the result is
-a set; block order cannot leak), and falls back to the sequential path
-— with a ``RuntimeWarning`` — when the pool or the inter-process codec
-is unavailable.
 """
 
 from __future__ import annotations
 
-import io
-import warnings
 from dataclasses import dataclass
 from typing import AbstractSet, Hashable, Iterable, Sequence
 
-from repro.binary_codec import Decoder, Encoder
 from repro.core.compatibility import check_key, compatible_data
 from repro.core.data import Data, DataSet
-from repro.core.errors import CodecError, MergeError
 from repro.store.index import NEVER_MATCHES, UNINDEXABLE, KeyIndex, signature
 from repro.store.ops import _same_datum
 
@@ -139,122 +124,19 @@ def _fold_scan(slabs: _Slabs, key: frozenset[str]) -> list[Data]:
 
 
 # ---------------------------------------------------------------------------
-# Parallel sharding
-# ---------------------------------------------------------------------------
-
-def _shard_blocks(blocks: list[_Slabs], shard_count: int) -> list[list[_Slabs]]:
-    """Distribute blocks over shards, largest first, always onto the
-    least-loaded shard (cost ≈ rows², the cross-product bound)."""
-    shards: list[list[_Slabs]] = [[] for _ in range(shard_count)]
-    loads = [0] * shard_count
-    costed = sorted(
-        ((sum(len(rows) for rows in slabs) ** 2, index)
-         for index, slabs in enumerate(blocks)),
-        reverse=True)
-    for cost, index in costed:
-        target = loads.index(min(loads))
-        shards[target].append(blocks[index])
-        loads[target] += cost
-    return [shard for shard in shards if shard]
-
-
-def _encode_shard(shard: list[_Slabs], key: frozenset[str]) -> bytes:
-    """Serialize one shard (key + blocks of slabs) to wire bytes.
-
-    One :class:`~repro.binary_codec.Encoder` per shard means one value
-    table: a datum repeated across blocks, or substructure shared by
-    hash-consing, crosses the process boundary as a varint ref.
-    """
-    buffer = io.BytesIO()
-    encoder = Encoder(buffer)
-    encoder.write_uvarint(len(key))
-    for attr in sorted(key):
-        encoder.write_string(attr)
-    encoder.write_uvarint(len(shard))
-    for slabs in shard:
-        encoder.write_uvarint(len(slabs))
-        for slab in slabs:
-            encoder.write_uvarint(len(slab))
-            for datum in slab:
-                encoder.write_datum(datum)
-    encoder.flush()
-    return buffer.getvalue()
-
-
-def _merge_shard(payload: bytes) -> bytes:
-    """Process-pool worker: fold every block of one serialized shard.
-
-    Decodes with ``intern=True`` — the worker's fold runs ``∪K`` over
-    canonical objects and hits the identity memo fast paths — and
-    streams the folded data back as one binary payload.
-    """
-    decoder = Decoder(io.BytesIO(payload), intern=True)
-    key = frozenset(decoder.read_string()
-                    for _ in range(decoder.read_uvarint()))
-    buffer = io.BytesIO()
-    encoder = Encoder(buffer)
-    for _ in range(decoder.read_uvarint()):
-        slabs = [[decoder.read_datum()
-                  for _ in range(decoder.read_uvarint())]
-                 for _ in range(decoder.read_uvarint())]
-        for datum in _fold_block(slabs, key):
-            encoder.write_datum(datum)
-    encoder.write_end()
-    encoder.flush()
-    return buffer.getvalue()
-
-
-def _fold_blocks_parallel(blocks: list[_Slabs], key: frozenset[str],
-                          workers: int) -> list[Data] | None:
-    """Fold blocks across a process pool; ``None`` means "fall back to
-    the sequential path" (pool unavailable, codec trouble, …).
-
-    Only *infrastructure* failures trigger the fallback — a broken or
-    unavailable pool, an OS-level resource error, or codec trouble
-    shipping blocks between processes. A genuine bug raised by the fold
-    itself propagates to the caller instead of being masked, and every
-    fallback emits a :class:`RuntimeWarning` so a permanently broken
-    parallel path stays observable.
-    """
-    try:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        from pickle import PicklingError
-
-        shards = _shard_blocks(blocks, workers)
-        payloads = [_encode_shard(shard, key) for shard in shards]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(_merge_shard, payloads))
-        return [datum for result in results
-                for datum in Decoder(io.BytesIO(result)).iter_data()]
-    except (CodecError, OSError, BrokenExecutor, PicklingError,
-            NotImplementedError, ImportError) as error:
-        warnings.warn(
-            f"parallel block merge unavailable "
-            f"({type(error).__name__}: {error}); "
-            f"falling back to sequential folding",
-            RuntimeWarning, stacklevel=3)
-        return None
-
-
-# ---------------------------------------------------------------------------
 # The k-way entry point
 # ---------------------------------------------------------------------------
 
 def blocked_union(sources: Iterable[DataSet | Iterable[Data]],
-                  key: Iterable[str], *, parallel: int = 0) -> DataSet:
+                  key: Iterable[str]) -> DataSet:
     """K-way ``∪K`` of ``sources`` in order, via signature blocking.
 
     Structurally identical to the naive left fold
     ``((S1 ∪K S2) ∪K S3) ∪K …`` of :meth:`DataSet.union` — the engine's
     equivalence tests and the pipeline benchmark assert this on every
-    run. ``parallel > 0`` folds multi-source blocks on that many worker
-    processes (sharded through the binary wire format of
-    :mod:`repro.binary_codec`) and falls back to sequential folding —
-    emitting a :class:`RuntimeWarning` — when a pool cannot be used.
+    run.
     """
     checked = check_key(key)
-    if parallel < 0:
-        raise MergeError(f"parallel must be >= 0, got {parallel}")
     normalized = [source if isinstance(source, DataSet)
                   else DataSet(source) for source in sources]
     if not normalized:
@@ -263,20 +145,12 @@ def blocked_union(sources: Iterable[DataSet | Iterable[Data]],
         return normalized[0]
     blocks, scan_slabs, never = _partition_sources(normalized, checked)
     result: list[Data] = []
-    multi: list[_Slabs] = []
     for slabs in blocks.values():
         # Single-source blocks have nothing to pair with: pass through.
         if len(slabs) == 1:
             result.extend(slabs[0])
         else:
-            multi.append(slabs)
-    folded: list[Data] | None = None
-    if parallel and multi:
-        folded = _fold_blocks_parallel(multi, checked, parallel)
-    if folded is None:
-        folded = [datum for slabs in multi
-                  for datum in _fold_block(slabs, checked)]
-    result.extend(folded)
+            result.extend(_fold_block(slabs, checked))
     if scan_slabs:
         result.extend(_fold_scan(scan_slabs, checked))
     result.extend(never)

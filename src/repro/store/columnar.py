@@ -77,10 +77,6 @@ pathologically deep objects cannot blow the recursion limit — a tuple
 chain deeper than :data:`DEFAULT_SHRED_DEPTH` simply truncates into an
 opaque entry at the cap.
 
-:func:`write_column_shard` / :func:`read_column_shard` put the same
-layout on the binary-codec wire, so the parallel executor ships column
-shards — not object trees — to its workers; nested rows are
-re-materialized from their path entries on the receiving side.
 """
 
 from __future__ import annotations
@@ -103,7 +99,6 @@ from repro.core.objects import (
 from repro.core.order import structural_key
 
 __all__ = ["Column", "ColumnStore", "bit_positions",
-           "write_column_shard", "read_column_shard",
            "DEFAULT_SHRED_DEPTH"]
 
 #: A parsed attribute path — the column key.
@@ -294,8 +289,8 @@ class Column:
     a plain nested tuple whose fields live in deeper columns), and
     ``opaque`` ⊆ ``irregular`` marks entries whose *descendants* the
     columns do not cover. ``extras`` maps irregular positions to the
-    original field object (needed to re-materialize rows from the
-    wire). Bits at tombstoned positions are masked by the store, never
+    original field object (the source of the possible-value index).
+    Bits at tombstoned positions are masked by the store, never
     cleared here.
     """
 
@@ -674,7 +669,8 @@ class ColumnStore:
         ``ordered`` records whether row positions follow the canonical
         data order; it defaults to ``True`` for a :class:`DataSet`
         (whose iteration is canonical) and ``False`` otherwise. Pass
-        ``ordered=True`` for a pre-sorted slice (a parallel shard).
+        ``ordered=True`` for data already in canonical order (the
+        compacting rebuild of :meth:`patched` does).
         ``shred_depth`` caps path recursion: plain tuples at paths of
         that length become opaque entries instead of shredding deeper.
         """
@@ -1084,155 +1080,3 @@ class ColumnStore:
             selected.sort(key=_canonical_key)
         return selected
 
-
-# -- wire format ---------------------------------------------------------------
-
-
-def write_column_shard(encoder, store: ColumnStore) -> None:
-    """Serialize a freshly built (tombstone-free) store column-wise.
-
-    Layout: row count; the residue and field-less rows as full data
-    (position-tagged); the shredded mask; then the tuple rows as one
-    marker stream plus per-column tagged entry streams — path labels
-    travel once per column instead of once per row, and the codec's
-    value table still deduplicates repeated values across columns.
-    Entry tags: 0 absent, 1 scalar, 2 irregular, 3 opaque,
-    4 tuple-interior (no payload — the interior's fields are in the
-    deeper columns).
-    """
-    size = store.size
-    tuple_positions = []
-    object_positions = []
-    rows = store.rows
-    shredded = store.universe_mask
-    for position in range(size):
-        if (shredded >> position & 1
-                and type(rows[position].object) is Tuple):
-            tuple_positions.append(position)
-        else:
-            object_positions.append(position)
-    encoder.write_uvarint(size)
-    encoder.write_uvarint(len(object_positions))
-    for position in object_positions:
-        encoder.write_uvarint(position)
-        encoder.write_datum(rows[position])
-    mask_raw = shredded.to_bytes((size + 7) >> 3 or 1, "little")
-    encoder.write_uvarint(len(mask_raw))
-    encoder.write_bytes(mask_raw)
-    for position in tuple_positions:
-        encoder.write_object(rows[position].marker)
-    paths = store.paths
-    encoder.write_uvarint(len(paths))
-    for path in paths:
-        encoder.write_uvarint(len(path))
-        for label in path:
-            encoder.write_string(label)
-        column = store._columns[path]
-        values = column.values
-        irregular = column.irregular
-        tuples = column.tuples
-        opaque = column.opaque
-        extras = column.extras
-        present = column.present
-        for position in tuple_positions:
-            if opaque >> position & 1:
-                encoder.write_uvarint(3)
-                encoder.write_object(extras[position])
-            elif irregular >> position & 1:
-                encoder.write_uvarint(2)
-                encoder.write_object(extras[position])
-            elif tuples >> position & 1:
-                encoder.write_uvarint(4)
-            elif present >> position & 1:
-                encoder.write_uvarint(1)
-                encoder.write_object(Atom(values[position]))
-            else:
-                encoder.write_uvarint(0)
-
-
-#: Marks a tuple-interior entry in the decoder's per-row entry list.
-_INTERIOR = object()
-
-
-def _assemble_row(items: list) -> Tuple:
-    """Rebuild one nested tuple row from its ``(path, value)`` entries.
-
-    ``items`` arrives sorted by path (the column iteration order) with
-    every interior tuple explicitly present (tag 4, value
-    ``_INTERIOR``) *before* its children — tuple-prefix order
-    guarantees both — so a single stack pass reassembles the nesting
-    with sorted fields at every level, ready for the trusted
-    ``Tuple._from_sorted_fields`` constructor.
-    """
-    root: list = []
-    stack: list[tuple[Path, list]] = [((), root)]
-    for path, value in items:
-        while len(stack) > 1 and path[:len(stack[-1][0])] != stack[-1][0]:
-            prefix, fields = stack.pop()
-            stack[-1][1].append(
-                (prefix[-1], Tuple._from_sorted_fields(tuple(fields))))
-        if value is _INTERIOR:
-            stack.append((path, []))
-        else:
-            stack[-1][1].append((path[-1], value))
-    while len(stack) > 1:
-        prefix, fields = stack.pop()
-        stack[-1][1].append(
-            (prefix[-1], Tuple._from_sorted_fields(tuple(fields))))
-    return Tuple._from_sorted_fields(tuple(root))
-
-
-def read_column_shard(decoder) -> ColumnStore:
-    """Decode :func:`write_column_shard` output into a live store.
-
-    Tuple rows are re-materialized from the path-column entries through
-    the trusted ``Tuple._from_sorted_fields`` constructor (paths arrive
-    strictly sorted, values are never ⊥, interiors rebuild bottom-up) —
-    the rebuilt rows are predicate-equivalent to the originals, which
-    is all position-based query answering needs.
-    """
-    size = decoder.read_uvarint()
-    rows: list[Data | None] = [None] * size
-    object_count = decoder.read_uvarint()
-    for _ in range(object_count):
-        position = decoder.read_uvarint()
-        rows[position] = decoder.read_datum()
-    mask_len = decoder.read_uvarint()
-    shredded = int.from_bytes(decoder.read_bytes(mask_len), "little")
-    tuple_positions = [position for position in range(size)
-                       if rows[position] is None]
-    markers = [decoder.read_object() for _ in tuple_positions]
-    column_count = decoder.read_uvarint()
-    columns: dict[Path, Column] = {}
-    entries: dict[int, list] = {position: []
-                                for position in tuple_positions}
-    for _ in range(column_count):
-        length = decoder.read_uvarint()
-        path = tuple(decoder.read_string() for _ in range(length))
-        builder = _ColumnBuilder(size)
-        for position in tuple_positions:
-            tag = decoder.read_uvarint()
-            if tag == 0:
-                continue
-            if tag == 4:
-                builder.present.set(position)
-                builder.tuples.set(position)
-                entries[position].append((path, _INTERIOR))
-                continue
-            value = decoder.read_object()
-            if tag == 1:
-                builder.values[position] = value.value
-                builder.present.set(position)
-            else:
-                builder.present.set(position)
-                builder.irregular.set(position)
-                if tag == 3:
-                    builder.opaque.set(position)
-                builder.extras[position] = value
-            entries[position].append((path, value))
-        columns[path] = builder.finish()
-    for position, marker in zip(tuple_positions, markers):
-        rows[position] = Data(marker, _assemble_row(entries[position]))
-    positions = {datum: position
-                 for position, datum in enumerate(rows)}
-    return ColumnStore(rows, positions, columns, shredded, 0, True)

@@ -34,9 +34,9 @@ as open work; this module is that implementation at library scale:
   index-warm: the saved postings are validated against a content
   digest of the dataset section and only rebuilt on mismatch);
 * ``merge_in`` ingests another source as a net
-  :class:`~repro.store.bulk.UnionDiff` against the maintained index
-  (optionally through the parallel blocked pipeline), so an ingest
-  touches only the data the ``∪K`` step actually changed;
+  :class:`~repro.store.bulk.UnionDiff` against the maintained index,
+  so an ingest touches only the data the ``∪K`` step actually
+  changed;
 * **incremental durability** through a write-ahead log
   (:mod:`repro.store.wal`): :meth:`Database.open` with
   ``durable=True`` appends every committed batch's net diff to an
@@ -83,7 +83,7 @@ from repro.core.intern import intern_data
 from repro.core.objects import Marker, SSObject, Tuple
 from repro.json_codec.codec import decode_dataset, encode_dataset
 from repro.store.attr_index import AttrIndex
-from repro.store.bulk import blocked_union, union_diff
+from repro.store.bulk import union_diff
 from repro.store.cache import LRUCache, QueryResultCache
 from repro.store.fsutil import fsync_directory
 from repro.store.index import KeyIndex
@@ -279,9 +279,6 @@ class Database:
         self._lock = threading.RLock()
         self._parsed_cache = LRUCache(_QUERY_CACHE_SIZE)
         self._results = QueryResultCache(result_cache_size)
-        self._executor_lock = threading.Lock()
-        self._executor_slots: dict[tuple[int, str], object] = {}
-        self._executor_generation: int | None = None
         # Durability runtime: populated by Database.open(durable=True);
         # a plain in-memory database never touches the log.
         self._wal: WriteAheadLog | None = None
@@ -781,47 +778,34 @@ class Database:
         return paths, safe
 
     def _query_at(self, state: _DBState, text: str, *,
-                  naive: bool = False, parallel: int = 0,
-                  parallel_mode: str = "process") -> DataSet:
+                  naive: bool = False) -> DataSet:
         """Execute a textual query against one pinned state."""
         spec = self._parsed(text)
         if spec.is_aggregate:
-            return self._aggregate_at(state, text, spec, naive=naive,
-                                      parallel=parallel,
-                                      parallel_mode=parallel_mode)
+            return self._aggregate_at(state, text, spec, naive=naive)
         if naive:
-            # The definitional oracle: no cache, no planner, no pool.
+            # The definitional oracle: no cache, no planner.
             return spec.query(state.dataset(),
                               index=state.attr_index).run(naive=True)
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
-        if parallel:
-            from repro.query.ast import project_data
-
-            executor = self._executor(state, parallel, parallel_mode)
-            selected = executor.select(spec.condition,
-                                       spec.order_steps(), spec.limit)
-            result = DataSet(project_data(selected, spec.projection))
-        else:
-            # ``columns`` stays a bound method: the shredding is only
-            # built (lazily, once per lineage) if the planner actually
-            # picks the columnar strategy for this condition.
-            result = spec.query(state.dataset(),
-                                index=state.attr_index,
-                                columns=state.columns).run()
+        # ``columns`` stays a bound method: the shredding is only built
+        # (lazily, once per lineage) if the planner actually picks the
+        # columnar strategy for this condition.
+        result = spec.query(state.dataset(),
+                            index=state.attr_index,
+                            columns=state.columns).run()
         paths, safe = self._cache_profile(spec)
         self._results.store(text, state.generation, result, paths, safe)
         return result
 
     def _aggregate_at(self, state: _DBState, text: str, spec, *,
-                      naive: bool = False, parallel: int = 0,
-                      parallel_mode: str = "process") -> dict:
+                      naive: bool = False) -> dict:
         """Execute a textual aggregate query against one pinned state.
 
         Routes like :meth:`_query_at`: result-cached per generation,
-        ``parallel=N`` runs the partial-aggregation pushdown over the
-        shard pool, ``naive=True`` is the uncached per-row oracle.
+        ``naive=True`` is the uncached per-row oracle.
         """
         if naive:
             return spec.run_aggregate(state.dataset(),
@@ -829,37 +813,24 @@ class Database:
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
-        if parallel:
-            executor = self._executor(state, parallel, parallel_mode)
-            result = executor.aggregate(spec.condition, spec.aggregates,
-                                        spec.group)
-        else:
-            result = spec.run_aggregate(state.dataset(),
-                                        index=state.attr_index,
-                                        columns=state.columns)
+        result = spec.run_aggregate(state.dataset(),
+                                    index=state.attr_index,
+                                    columns=state.columns)
         paths, safe = self._cache_profile(spec)
         self._results.store(text, state.generation, result, paths, safe)
         return result
 
-    def query(self, text: str, *, naive: bool = False,
-              parallel: int = 0,
-              parallel_mode: str = "process") -> DataSet:
+    def query(self, text: str, *, naive: bool = False) -> DataSet:
         """Run a textual query (``select ... where ...``) on the
         current contents.
 
         Parsed queries are cached by text (a true LRU), results are
         cached per generation with epoch invalidation, and execution
         routes through the planner with this database's attribute index
-        attached. ``parallel=N`` fans the scan/residual phase of
-        scan-strategy plans out over ``N`` shard workers
-        (:class:`repro.query.parallel.ParallelExecutor`;
-        ``parallel_mode`` picks ``"process"`` or ``"thread"``).
-        ``naive=True`` forces the definitional full scan (the oracle),
-        bypassing every cache.
+        attached. ``naive=True`` forces the definitional full scan (the
+        oracle), bypassing every cache.
         """
-        return self._query_at(self._state, text, naive=naive,
-                              parallel=parallel,
-                              parallel_mode=parallel_mode)
+        return self._query_at(self._state, text, naive=naive)
 
     def explain(self, text: str, *, analyze: bool = False):
         """The :class:`~repro.query.planner.Plan` for a textual query.
@@ -949,44 +920,14 @@ class Database:
         """Result-cache counters (hits/misses/retags/evictions)."""
         return self._results.stats()
 
-    # -- parallel execution ------------------------------------------------------
-
-    def _executor(self, state: _DBState, workers: int, mode: str):
-        """The shard-worker pool for one generation, built on demand.
-
-        Executors cache per ``(workers, mode)`` so alternating pool
-        shapes on an unchanged store never re-shard or re-ship the
-        data; a write retires every pool (their shards are stale) and
-        the next parallel query rebuilds from the new state.
-        """
-        from repro.query.parallel import ParallelExecutor
-
-        with self._executor_lock:
-            if self._executor_generation != state.generation:
-                for executor in self._executor_slots.values():
-                    executor.close()
-                self._executor_slots.clear()
-                self._executor_generation = state.generation
-            executor = self._executor_slots.get((workers, mode))
-            if executor is None:
-                executor = ParallelExecutor(
-                    state.dataset(), workers=workers,
-                    index=state.attr_index, mode=mode)
-                self._executor_slots[(workers, mode)] = executor
-            return executor
-
     def close(self) -> None:
-        """Release the parallel worker pools and the write-ahead log.
+        """Release the write-ahead log.
 
         A running background compaction is joined first so the log and
         snapshot are left in a consistent resting state. Closing is
         safe at any time: every committed generation is already on
         disk, so close() adds no durability of its own.
         """
-        with self._executor_lock:
-            for executor in self._executor_slots.values():
-                executor.close()
-            self._executor_slots.clear()
         thread = self._compact_thread
         if thread is not None and thread.is_alive():
             thread.join(timeout=60)
@@ -1001,8 +942,7 @@ class Database:
 
     # -- merging ------------------------------------------------------------------
 
-    def merge_in(self, source: DataSet, key: Iterable[str], *,
-                 parallel: int = 0) -> int:
+    def merge_in(self, source: DataSet, key: Iterable[str]) -> int:
         """Union a new source into the database (Definition 12).
         Returns the resulting size.
 
@@ -1010,9 +950,7 @@ class Database:
         actually replaced or introduced touch the marker index and the
         maintained key indexes, and the whole step is one atomic batch
         — concurrent readers see the store before or after the merge,
-        never partway. ``parallel > 0`` routes the union through the
-        blocked pipeline's worker pool
-        (:func:`repro.store.bulk.blocked_union`); results are identical.
+        never partway.
         """
         checked = check_key(key)
         if self._intern:
@@ -1024,19 +962,11 @@ class Database:
             # of the union, atomically with the chain extension.
             head = self._head
             data = head.data
-            if parallel:
-                merged = set(blocked_union(
-                    [head.dataset(), source], checked,
-                    parallel=parallel))
-                removed = tuple(d for d in data if d not in merged)
-                added = tuple(d for d in merged if d not in data)
-            else:
-                diff = union_diff(data, self._head_key_index(checked),
-                                  source, checked)
-                removed, added = diff.removed, diff.added
+            diff = union_diff(data, self._head_key_index(checked),
+                              source, checked)
             outcome = self._apply_locked(
-                removed,
-                tuple(self._canonical(datum) for datum in added))
+                diff.removed,
+                tuple(self._canonical(datum) for datum in diff.added))
         delta_removed, delta_added = self._finish(outcome)
         return len(data) - len(delta_removed) + len(delta_added)
 

@@ -2,9 +2,9 @@
 
 ``MergeSpec.strategy`` only reorganizes the Definition 12 pairing work
 — naive scans, indexed pairwise folds, or the k-way signature-blocked
-pipeline (optionally parallel). These tests run the same sources under
-every strategy and compare the outcomes structurally; the ``"naive"``
-strategy is the definitional reference.
+pipeline. These tests run the same sources under every strategy and
+compare the outcomes structurally; the ``"naive"`` strategy is the
+definitional reference.
 """
 
 import pytest
@@ -29,8 +29,8 @@ def spec_with(**overrides):
     return MergeSpec(default_key={"title"}, **overrides)
 
 
-def merge_under(strategy, sources, parallel=0):
-    spec = spec_with(strategy=strategy, parallel=parallel)
+def merge_under(strategy, sources):
+    spec = spec_with(strategy=strategy)
     return build_engine(spec, sources).merge()
 
 
@@ -70,12 +70,6 @@ class TestStrategyEquivalence:
             assert merge_under(strategy, sources).dataset == \
                 reference.dataset, strategy
 
-    def test_parallel_blocked_matches_naive(self):
-        sources = workload_sources(sources=3, entries=60, seed=5)
-        reference = merge_under("naive", sources)
-        assert merge_under("blocked", sources,
-                           parallel=2).dataset == reference.dataset
-
     def test_per_class_keys_respected(self):
         spec_kwargs = dict(
             per_class={"Article": frozenset({"title", "year"})})
@@ -108,18 +102,13 @@ class TestSpecValidation:
         with pytest.raises(MergeError, match="strategy"):
             spec_with(strategy="turbo")
 
-    def test_negative_parallel_rejected(self):
-        with pytest.raises(MergeError, match="parallel"):
-            spec_with(parallel=-2)
-
     def test_defaults(self):
         spec = spec_with()
         assert spec.strategy == "blocked"
-        assert spec.parallel == 0
 
 
 class TestCli:
-    def test_merge_strategy_and_parallel_flags(self, tmp_path, capsys):
+    def test_merge_strategy_flags(self, tmp_path, capsys):
         from repro.cli import main
 
         first = tmp_path / "a.bib"
@@ -130,7 +119,7 @@ class TestCli:
             "@article{b, title={X}, year={1999}}\n")
         outputs = []
         for extra in ([], ["--strategy", "naive"],
-                      ["--strategy", "blocked", "--parallel", "2"]):
+                      ["--strategy", "blocked"]):
             out = tmp_path / f"out{len(outputs)}.json"
             status = main(["merge", str(first), str(second),
                            "--to", "json", "-o", str(out)] + extra)

@@ -8,15 +8,12 @@ attributes, and nested documents 2–4 tuple-levels deep with or-values
 and ⊥ at interior *and* leaf positions — and rich-mode
 ``ObjectGenerator`` data through ``Query.with_columns`` and asserts
 exact agreement with ``run(naive=True)``, plus cross-strategy equality
-(row scan, index probes, columnar, threaded parallel shards all return
-the same rows), copy-on-write ``patched()`` correctness against a
-fresh rebuild after nested mutations — from parents whose indexes and
-scan memos were warmed first, so the carried state is what answers,
-including sibling successors of one parent — and wire-format
-round-trip equivalence for path columns.
+(row scan, index probes and columnar all return the same rows) and
+copy-on-write ``patched()`` correctness against a fresh rebuild after
+nested mutations — from parents whose indexes and scan memos were
+warmed first, so the carried state is what answers, including sibling
+successors of one parent.
 """
-
-import io
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,14 +36,12 @@ from repro.query import (
     Ne,
     Not,
     Or,
-    ParallelExecutor,
     Query,
     Sum,
 )
 from repro.query.aggregates import group_aggregate_columnar, \
     group_aggregate_rows
-from repro.store import AttrIndex, ColumnStore, read_column_shard, \
-    write_column_shard
+from repro.store import AttrIndex, ColumnStore
 from tests.store.test_columnar import assert_carried_state_exact
 from tests.store.test_columnar import warm as warm_columns
 
@@ -155,8 +150,8 @@ def test_columnar_ordered_limited_rows_match_naive(dataset, condition,
 @CASES
 @given(datasets(), conditions)
 def test_every_strategy_returns_identical_results(dataset, condition):
-    """Row scan, index probes, columnar scan and threaded parallel
-    shards are four routes to one answer."""
+    """Row scan, index probes and the columnar scan are three routes
+    to one answer."""
     base = Query(dataset).where(condition)
     expected = base.rows(naive=True)
     assert base.rows() == expected
@@ -164,11 +159,6 @@ def test_every_strategy_returns_identical_results(dataset, condition):
         AttrIndex(LABELS, dataset)).rows() == expected
     assert base.with_columns(
         ColumnStore.build(dataset)).rows() == expected
-    executor = ParallelExecutor(dataset, workers=2, mode="thread")
-    try:
-        assert executor.select(condition) == expected
-    finally:
-        executor.close()
 
 
 AGGS = {
@@ -376,11 +366,6 @@ def test_nested_every_strategy_returns_identical_results(dataset,
         AttrIndex(("author", "year", "title"), dataset)).rows() == expected
     assert base.with_columns(
         ColumnStore.build(dataset)).rows() == expected
-    executor = ParallelExecutor(dataset, workers=2, mode="thread")
-    try:
-        assert executor.select(condition) == expected
-    finally:
-        executor.close()
 
 
 NESTED_AGGS = {
@@ -415,28 +400,3 @@ def test_nested_sibling_successors_of_a_warm_parent(initial, first,
                                                     group):
     check_sibling_successors(initial, first, second, condition, group,
                              NESTED_AGGS)
-
-
-@settings(max_examples=100, deadline=None)
-@given(nested_datasets(), nested_conditions)
-def test_nested_store_wire_roundtrip_is_predicate_equivalent(dataset,
-                                                             condition):
-    """Path columns shipped through the binary shard codec answer every
-    condition with the same match positions as the original store.
-    (Structural row equality is deliberately not asserted: fields that
-    reach nothing are dropped on the wire, predicate-equivalently.)"""
-    from repro.binary_codec import Decoder, Encoder
-    from repro.query.planner import columnar_shard_positions
-
-    store = ColumnStore.build(dataset)
-    buffer = io.BytesIO()
-    encoder = Encoder(buffer)
-    write_column_shard(encoder, store)
-    encoder.flush()
-    decoded = read_column_shard(
-        Decoder(io.BytesIO(buffer.getvalue()), intern=True))
-    assert decoded.size == store.size
-    assert decoded.shredded_count == store.shredded_count
-    assert decoded.paths == store.paths
-    assert (columnar_shard_positions(decoded, condition)
-            == columnar_shard_positions(store, condition))

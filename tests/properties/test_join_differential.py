@@ -13,11 +13,8 @@ set-wrapped, i.e. every multi-level shred class incl. opaque):
   patched store (appended, tombstoned and resurrected rows) over many
   keys, type-strict ones among them;
 * the columnar aggregate kernels (plain and grouped) equal the per-row
-  ``path_alternatives`` oracle;
-* parallel partial aggregation is lossless: accumulators folded over
-  arbitrary shard partitions, shipped through the wire payload and
-  merged in any order finish to the sequential answer — for every
-  aggregate kind.
+  ``path_alternatives`` oracle, over whole stores and over arbitrary
+  row-subset masks — for every aggregate kind.
 
 Values are integers/strings only (no floats), so ``sum`` equality is
 exact, never approximate.
@@ -38,20 +35,14 @@ from repro.query import (
     Ge,
     Max,
     Min,
-    ParallelExecutor,
     Query,
     Sum,
 )
 from repro.query.aggregates import (
-    Accumulator,
+    aggregate_columnar,
     aggregate_rows,
-    finish_grouped,
+    group_aggregate_columnar,
     group_aggregate_rows,
-    grouped_from_payload,
-    grouped_payload,
-    merge_grouped,
-    partial_aggregate_columnar,
-    partial_group_columnar,
 )
 from repro.query.join import JoinQuery, hash_join, nested_loop_join
 from repro.store import ColumnStore
@@ -268,39 +259,39 @@ def test_grouped_columnar_matches_row_oracle(dataset, condition, group):
         group, **AGGS, naive=True)
 
 
+def subset(store, selector):
+    """The mask of the store rows ``selector``'s bits pick (bit ``i``
+    picks the ``i``-th live position) and those rows."""
+    picked = [position for index, position in enumerate(
+        bit_positions(store.universe_mask | store.residue_mask))
+        if selector >> index & 1]
+    return (sum(1 << position for position in picked),
+            [store.rows[position] for position in picked])
+
+
+#: Selectors for :func:`subset`: any subset of up to 10 rows.
+selectors = st.integers(min_value=0, max_value=(1 << 10) - 1)
+
+
 @CASES
-@given(datasets("a", max_size=10), st.integers(min_value=1, max_value=4))
-def test_partial_merge_equals_sequential(dataset, shards):
-    """Accumulators folded per-shard, round-tripped through the wire
-    payload and merged equal the one-pass oracle — every kind."""
+@given(datasets("a", max_size=10), selectors)
+def test_subset_mask_aggregate_matches_row_oracle(dataset, selector):
+    """The kernel over an arbitrary row-subset mask equals the one-pass
+    oracle over the same rows — every kind."""
     store = ColumnStore.build(dataset)
-    positions = bit_positions(store.universe_mask | store.residue_mask)
-    merged = {name: Accumulator(spec.kind)
-              for name, spec in AGGS.items()}
-    for shard in range(shards):
-        mask = sum(1 << p for p in positions[shard::shards])
-        partial = partial_aggregate_columnar(store, mask, AGGS)
-        for name, acc in partial.items():
-            merged[name].merge(
-                Accumulator.from_payload(acc.payload()))
-    finished = {name: acc.finish() for name, acc in merged.items()}
-    assert finished == aggregate_rows(dataset, AGGS)
+    mask, rows = subset(store, selector)
+    assert aggregate_columnar(store, mask, AGGS) == aggregate_rows(
+        rows, AGGS)
 
 
 @CASES
-@given(datasets("a", max_size=10), st.integers(min_value=1, max_value=4),
+@given(datasets("a", max_size=10), selectors,
        st.sampled_from(("type", "title")))
-def test_grouped_partial_merge_equals_sequential(dataset, shards, group):
+def test_grouped_subset_mask_matches_row_oracle(dataset, selector, group):
     store = ColumnStore.build(dataset)
-    positions = bit_positions(store.universe_mask | store.residue_mask)
-    merged = {}
-    for shard in range(shards):
-        mask = sum(1 << p for p in positions[shard::shards])
-        partial = partial_group_columnar(store, mask, group, AGGS)
-        merge_grouped(merged,
-                      grouped_from_payload(grouped_payload(partial)))
-    assert finish_grouped(merged) == group_aggregate_rows(
-        dataset, group, AGGS)
+    mask, rows = subset(store, selector)
+    assert group_aggregate_columnar(store, mask, group, AGGS) == \
+        group_aggregate_rows(rows, group, AGGS)
 
 
 # ---------------------------------------------------------------------------
@@ -412,42 +403,13 @@ def test_nested_grouped_columnar_matches_row_oracle(dataset, condition,
 
 
 @CASES
-@given(nested_datasets("a", max_size=10),
-       st.integers(min_value=1, max_value=4),
+@given(nested_datasets("a", max_size=10), selectors,
        st.sampled_from(("meta.key", "type")))
-def test_nested_grouped_partial_merge_equals_sequential(dataset, shards,
-                                                        group):
-    """Partial grouped aggregation on a nested group path survives
-    arbitrary sharding, the wire payload and merge order."""
+def test_nested_grouped_subset_mask_matches_row_oracle(dataset, selector,
+                                                       group):
+    """Grouped aggregation on a nested group path over an arbitrary
+    row-subset mask equals the oracle over the same rows."""
     store = ColumnStore.build(dataset)
-    positions = bit_positions(store.universe_mask | store.residue_mask)
-    merged = {}
-    for shard in range(shards):
-        mask = sum(1 << p for p in positions[shard::shards])
-        partial = partial_group_columnar(store, mask, group, NESTED_AGGS)
-        merge_grouped(merged,
-                      grouped_from_payload(grouped_payload(partial)))
-    assert finish_grouped(merged) == group_aggregate_rows(
-        dataset, group, NESTED_AGGS)
-
-
-@settings(max_examples=40, deadline=None)
-@given(datasets("a", max_size=12), conditions,
-       st.one_of(st.none(), st.just("type")))
-def test_parallel_executor_aggregate_matches_oracle(dataset, condition,
-                                                    group):
-    """The executor's partial-aggregation pushdown (thread shards)
-    equals the sequential per-row answer."""
-    if group is None:
-        expected = aggregate_rows(
-            Query(dataset).where(condition).rows() if condition
-            else dataset, AGGS)
-    else:
-        expected = group_aggregate_rows(
-            Query(dataset).where(condition).rows() if condition
-            else dataset, group, AGGS)
-    executor = ParallelExecutor(dataset, workers=2, mode="thread")
-    try:
-        assert executor.aggregate(condition, AGGS, group) == expected
-    finally:
-        executor.close()
+    mask, rows = subset(store, selector)
+    assert group_aggregate_columnar(store, mask, group, NESTED_AGGS) == \
+        group_aggregate_rows(rows, group, NESTED_AGGS)

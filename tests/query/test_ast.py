@@ -1,11 +1,15 @@
 """Tests for conditions and the fluent Query API."""
 
+import pickle
+
 import pytest
 
-from repro.core.builder import cset, dataset, orv, pset, tup
+from repro.core.builder import cset, data, dataset, orv, pset, tup
+from repro.core.data import DataSet
 from repro.core.errors import QueryError
 from repro.core.objects import Atom
 from repro.query.ast import (
+    And,
     Contains,
     Eq,
     Exists,
@@ -17,6 +21,9 @@ from repro.query.ast import (
     Not,
     Query,
 )
+from repro.query.compile import compile_condition
+from repro.query.parser import parse_query_spec
+from repro.store import Database
 
 
 def library():
@@ -238,3 +245,44 @@ class TestGroupBy:
         groups = Query(library()).select("title").group_by("type")
         for member in groups[Atom("Article")]:
             assert set(member.object.attributes) <= {"title"}
+
+
+def make_dataset(count: int = 60) -> DataSet:
+    rows = []
+    for uid in range(count):
+        fields = {"type": "Article" if uid % 2 else "InProc",
+                  "title": f"Paper {uid:03d}",
+                  "author": f"Author {uid % 7}"}
+        if uid % 5:
+            fields["year"] = 1970 + (uid % 30)
+        rows.append(data(f"m{uid}", tup(**fields)))
+    return DataSet(rows)
+
+
+class TestConditionPickling:
+    def test_compiled_condition_still_pickles(self):
+        condition = And(Contains("title", "1"), Ge("year", 1980))
+        predicate = compile_condition(condition)   # attaches closures
+        assert predicate is not None
+        clone = pickle.loads(pickle.dumps(condition))
+        dataset = make_dataset(20)
+        for datum in dataset:
+            assert clone.matches(datum.object) == \
+                condition.matches(datum.object)
+
+    def test_parsed_spec_condition_pickles_after_planning(self):
+        spec = parse_query_spec(
+            'select * where title contains "1" and year >= 1980')
+        db = Database(make_dataset(20), index_paths=["type"])
+        db.query('select * where title contains "1" and year >= 1980')
+        clone = pickle.loads(pickle.dumps(spec.condition))
+        for datum in db.snapshot():
+            assert clone.matches(datum.object) == \
+                spec.condition.matches(datum.object)
+
+    def test_memos_are_stripped(self):
+        condition = Contains("title", "x")
+        compile_condition(condition)
+        state = condition.__getstate__()
+        assert "_compiled" not in state
+        assert all(not key.startswith("_") for key in state)

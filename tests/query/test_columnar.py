@@ -269,67 +269,6 @@ class TestDatabaseIntegration:
         assert db._state._columns is None  # oracle stayed definitional
 
 
-class TestExecutorCaching:
-    def test_executor_slots_cached_per_shape(self):
-        db = Database(list(library()), result_cache_size=0)
-        try:
-            state = db._state
-            first = db._executor(state, 2, "thread")
-            again = db._executor(state, 2, "thread")
-            other = db._executor(state, 3, "thread")
-            assert first is again
-            assert other is not first  # both stay resident
-            assert db._executor(state, 2, "thread") is first
-        finally:
-            db.close()
-
-    def test_generation_change_retires_all_slots(self):
-        db = Database(list(library()), result_cache_size=0)
-        try:
-            state = db._state
-            first = db._executor(state, 2, "thread")
-            db.insert(flat("n1", type="New"))
-            fresh = db._executor(db._state, 2, "thread")
-            assert fresh is not first
-            assert first._closed
-        finally:
-            db.close()
-
-    def test_thread_mode_shard_stores_cached(self):
-        from repro.query.parallel import ParallelExecutor
-
-        data = DataSet([flat(f"m{i}", type="T", year=1900 + i)
-                        for i in range(40)])
-        executor = ParallelExecutor(data, workers=4, mode="thread")
-        try:
-            condition = Ge("year", 1920)
-            expected = Query(data).where(condition).rows(naive=True)
-            assert executor.select(condition) == expected
-            stores = list(executor._shard_stores)
-            assert all(store is not None for store in stores)
-            assert executor.select(condition) == expected
-            # Re-running re-used the shredded shards, not rebuilt them.
-            assert all(old is new for old, new
-                       in zip(stores, executor._shard_stores))
-        finally:
-            executor.close()
-
-    def test_process_mode_matches_naive(self):
-        data = library()
-        from repro.query.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(data, workers=2, mode="process")
-        try:
-            for condition in (Eq("type", "Article") & Ge("year", 1995),
-                              Or(Not(Exists("year")),
-                                 Contains("title", "ba")),
-                              Exists("venue.name")):
-                expected = Query(data).where(condition).rows(naive=True)
-                assert executor.select(condition) == expected
-        finally:
-            executor.close()
-
-
 class TestCliExplain:
     def test_query_explain_flag(self, tmp_path, capsys):
         from repro.cli import main

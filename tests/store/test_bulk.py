@@ -2,16 +2,16 @@
 
 ``∪K`` is commutative but not associative, so every structural detail of
 the left fold — order, dedup between steps, pass-through of unmatched
-data — must survive signature blocking, incremental accumulation and
-parallel sharding. Each test folds the same sources naively with
-:meth:`DataSet.union` and asserts set equality.
+data — must survive signature blocking and incremental accumulation.
+Each test folds the same sources naively with :meth:`DataSet.union` and
+asserts set equality.
 """
 
 import pytest
 
-from repro.core.builder import cset, data, dataset, orv, pset, tup
+from repro.core.builder import cset, dataset, orv, pset, tup
 from repro.core.data import DataSet
-from repro.core.errors import EmptyKeyError, MergeError
+from repro.core.errors import EmptyKeyError
 from repro.core.objects import BOTTOM
 from repro.properties import ObjectGenerator
 from repro.store.bulk import (
@@ -99,108 +99,6 @@ class TestBlockedUnion:
     def test_validation(self):
         with pytest.raises(EmptyKeyError):
             blocked_union([], frozenset())
-        with pytest.raises(MergeError, match="parallel"):
-            blocked_union([dataset(("m", tup(A="a", B="b")))], K,
-                          parallel=-1)
-
-
-class TestParallel:
-    @pytest.mark.parametrize("seed", (0, 7, 13))
-    def test_matches_naive_fold(self, seed):
-        sources = random_sources(seed, count=4, size=12)
-        expected = naive_fold(sources, K)
-        assert blocked_union(sources, K, parallel=2) == expected
-
-    def test_workload_parallel(self):
-        from repro.workloads import BibWorkloadSpec, generate_workload
-
-        workload = generate_workload(BibWorkloadSpec(
-            entries=80, sources=3, overlap=0.5, conflict_rate=0.3,
-            partial_author_rate=0.2, seed=4))
-        assert blocked_union(workload.sources, workload.key,
-                             parallel=2) == \
-            naive_fold(workload.sources, workload.key)
-
-    def test_parallel_identical_to_sequential_no_fallback(self):
-        # The binary shard IPC regression: parallel results must be
-        # identical to the sequential blocked fold, and must come from
-        # the actual worker pool — any codec trouble shipping shards
-        # would surface here as the fallback RuntimeWarning.
-        import warnings
-
-        from repro.workloads import BibWorkloadSpec, generate_workload
-
-        workload = generate_workload(BibWorkloadSpec(
-            entries=100, sources=3, overlap=0.5, conflict_rate=0.4,
-            null_rate=0.2, partial_author_rate=0.4, seed=23))
-        sequential = blocked_union(workload.sources, workload.key)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            parallel = blocked_union(workload.sources, workload.key,
-                                     parallel=2)
-        assert parallel == sequential
-
-    def test_shard_wire_roundtrip(self):
-        # The worker protocol in isolation: encode a shard, run the
-        # worker in-process, decode — result equals the direct fold.
-        import io
-
-        from repro.binary_codec import Decoder
-        from repro.store.bulk import (
-            _encode_shard,
-            _fold_block,
-            _merge_shard,
-        )
-
-        slabs = [
-            [data("m1", tup(A="k", B="b", p=1)),
-             data("m2", tup(A="k2", B="b", p=2))],
-            [data("n1", tup(A="k", B="b", q=3))],
-        ]
-        blocks = [slabs]
-        payload = _encode_shard(blocks, K)
-        result = _merge_shard(payload)
-        decoded = set(Decoder(io.BytesIO(result)).iter_data())
-        assert decoded == set(_fold_block(slabs, K))
-
-    def test_fallback_on_broken_pool(self, monkeypatch):
-        import repro.store.bulk as bulk
-
-        def broken(blocks, key, workers):
-            return None
-
-        monkeypatch.setattr(bulk, "_fold_blocks_parallel", broken)
-        sources = random_sources(3, count=3, size=10)
-        assert bulk.blocked_union(sources, K, parallel=4) == \
-            naive_fold(sources, K)
-
-    def test_infrastructure_failure_warns_and_falls_back(self, monkeypatch):
-        # Pool/OS-level failures must not be silent: the sequential
-        # result is still correct, but a RuntimeWarning records that
-        # the parallel path did not run.
-        import repro.store.bulk as bulk
-
-        def no_pool(blocks, shard_count):
-            raise OSError("no processes available")
-
-        monkeypatch.setattr(bulk, "_shard_blocks", no_pool)
-        sources = random_sources(5, count=3, size=10)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            result = bulk.blocked_union(sources, K, parallel=4)
-        assert result == naive_fold(sources, K)
-
-    def test_genuine_bug_propagates(self, monkeypatch):
-        # A bug inside the fold must surface, not be masked by the
-        # sequential fallback.
-        import repro.store.bulk as bulk
-
-        def buggy(blocks, shard_count):
-            raise KeyError("bug in the fold")
-
-        monkeypatch.setattr(bulk, "_shard_blocks", buggy)
-        sources = random_sources(5, count=3, size=10)
-        with pytest.raises(KeyError, match="bug in the fold"):
-            bulk.blocked_union(sources, K, parallel=4)
 
 
 class TestIncrementalUnion:

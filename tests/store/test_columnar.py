@@ -5,17 +5,13 @@ sidecar / tuple-interior / opaque / row-fallback residue / field-less
 tops), the path-keyed columns and per-level bitset semantics, the
 bitset plumbing, copy-on-write ``patched()`` including tombstones,
 resurrection, the compacting drift rebuild and the indexes and scan
-memos it carries into the next generation, the column-shard wire
-format with nested re-materialization, and the ≥600-deep
+memos it carries into the next generation, and the ≥600-deep
 pathological-nesting regression the binary codec set the precedent
 for: analysis is iterative (and guarded), so deep objects classify
 without blowing the recursion limit — tuple chains past the
 shred-depth cap truncate into opaque entries instead of overflowing.
 """
 
-import io
-
-from repro.binary_codec import Decoder, Encoder
 from repro.core.builder import atom, cset, orv, pset, tup
 from repro.core.data import Data, DataSet
 from repro.core.objects import Atom, Marker, Tuple
@@ -24,8 +20,6 @@ from repro.store.columnar import (
     Column,
     ColumnStore,
     bit_positions,
-    read_column_shard,
-    write_column_shard,
 )
 
 
@@ -465,50 +459,6 @@ class TestCarriedState:
         rebuilt = store.patched(data[:150], [])
         column = rebuilt.column(("year",))
         assert column._eq_index is None and column._scan_memo == {}
-
-
-class TestWireFormat:
-    def round_trip(self, rows):
-        store = ColumnStore.build(rows, ordered=True)
-        buffer = io.BytesIO()
-        encoder = Encoder(buffer)
-        write_column_shard(encoder, store)
-        encoder.flush()
-        decoder = Decoder(io.BytesIO(buffer.getvalue()), intern=True)
-        return store, read_column_shard(decoder)
-
-    def test_rows_rematerialize_exactly(self):
-        rows = list(library())
-        store, decoded = self.round_trip(rows)
-        assert decoded.size == store.size
-        assert decoded.rows == rows
-        assert decoded.shredded_count == store.shredded_count
-
-    def test_match_positions_agree(self):
-        from repro.query.planner import columnar_shard_positions
-
-        rows = list(library())
-        store, decoded = self.round_trip(rows)
-        for condition in (Eq("type", "Article"),
-                          Ge("year", 2000) | Exists("author"),
-                          ~Exists("year")):
-            assert (columnar_shard_positions(store, condition)
-                    == columnar_shard_positions(decoded, condition))
-
-    def test_empty_set_field_is_predicate_equivalent(self):
-        rows = [datum("d", tup(tags=cset(), type=atom("X")))]
-        store, decoded = self.round_trip(rows)
-        # The empty-set field is dropped on the wire (it reaches
-        # nothing under every path), so the rebuilt row differs
-        # structurally but answers every query identically.
-        true_bits, maybe_bits = decoded.leaf_exists(("tags",))
-        assert true_bits == 0 and maybe_bits == 0
-        true_bits, _ = decoded.leaf_eq(("type",), Atom("X"))
-        assert true_bits == 1
-
-    def test_empty_shard(self):
-        store, decoded = self.round_trip([])
-        assert decoded.size == 0
 
 
 DEPTH = 600

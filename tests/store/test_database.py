@@ -314,19 +314,6 @@ class TestIncrementalIndexes:
         assert len(merged) == 1
         assert merged == db.by_marker("X1")
 
-    def test_merge_in_parallel_matches_sequential(self):
-        from repro.properties import ObjectGenerator
-
-        generator = ObjectGenerator(seed=21)
-        base, source = generator.dataset(12), generator.dataset(12)
-        key = frozenset({"A", "B"})
-        sequential = Database(base)
-        sequential.merge_in(source, key)
-        parallel = Database(base)
-        parallel.merge_in(source, key, parallel=2)
-        assert sequential.snapshot() == parallel.snapshot()
-        assert sequential.snapshot() == base.union(source, key)
-
     def test_uninterned_database_merge_in(self):
         db = Database(sample_data(), intern_objects=False)
         db.merge_in(dataset(

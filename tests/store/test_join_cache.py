@@ -55,13 +55,6 @@ class TestAggregateCache:
             '"review"': {"count(*)": 2},
         }
 
-    def test_parallel_aggregate_matches_sequential(self):
-        db = Database(seed_rows())
-        expected = db.query("select count(*), max(year) group by kind")
-        parallel = db.query("select count(*), max(year) group by kind",
-                            parallel=2, parallel_mode="thread")
-        assert parallel == expected
-
 
 class TestJoinCache:
     def test_join_results_cache_per_generation(self):

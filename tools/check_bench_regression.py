@@ -51,7 +51,7 @@ REGISTRY: dict[str, tuple[str, tuple[str, ...]]] = {
     "columnar": ("benchmarks/bench_columnar.py",
                  ("residual_speedup",)),
     "concurrency": ("benchmarks/bench_concurrency.py",
-                    ("cached_read_speedup", "parallel_speedup")),
+                    ("cached_read_speedup",)),
     "interning": ("benchmarks/bench_interning.py", ("speedup",)),
     "join": ("benchmarks/bench_join.py",
              ("join_speedup", "group_agg_speedup")),
