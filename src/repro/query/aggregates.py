@@ -24,16 +24,23 @@ The same accumulator runs two ways and must agree exactly:
   (``naive=True``);
 * :func:`aggregate_columnar` — the vectorized kernel over a
   :class:`~repro.store.columnar.ColumnStore`: scalar rows fold through
-  flat primitive arrays (:meth:`Column.numeric_stats`, popcounts,
-  eq-index buckets) and only irregular/residue rows fall back to the
+  the column (:meth:`Column.numeric_stats`, popcounts,
+  :meth:`Column.scalar_keys`), irregular entries at the aggregated
+  path (or-values, sets) fold once per distinct field value with its
+  row count as the multiplicity, and only tuple-interior entries,
+  rows under an opaque ancestor and residue rows fall back to the
   per-row resolver.
 
 Agreement holds because an accumulator is a *bag of contributions*
 combined by a deterministic, order-independent fold: the kernel adds
 its rows in a different order than the oracle, but exact contributions
 commute, and uncertain contributions are sorted before the
-possible-outcome set is enumerated. (Float sums are exact only up to
-float associativity — integer data, the common case, is bit-exact.)
+possible-outcome set is enumerated. ``k`` rows with one contribution
+fold as that contribution with multiplicity ``k``: ``count`` and
+``sum`` add it ``k`` times, and ``min``, ``max`` and ``collect`` are
+idempotent, so they add it once (see :meth:`Accumulator.add_row`).
+(Float sums are exact only up to float rounding — integer data, the
+common case, is bit-exact.)
 
 Grouped aggregation (:func:`group_aggregate_rows` /
 :func:`group_aggregate_columnar`) keeps the overlapping-groups
@@ -47,6 +54,7 @@ reaches nothing group under ⊥.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -296,9 +304,18 @@ class Accumulator:
             self.lo_count += 1
         self.hi_count += 1
 
-    def add_row(self, alternatives: tuple[tuple, ...]) -> None:
-        """Fold one row's value alternatives (see
-        :func:`path_alternatives`)."""
+    def add_row(self, alternatives: tuple[tuple, ...],
+                times: int = 1) -> None:
+        """Fold ``times`` rows that share these value alternatives (see
+        :func:`path_alternatives`).
+
+        ``count`` and ``sum`` take ``times`` as the multiplicity.
+        ``min``, ``max`` and ``collect`` fold the alternatives once:
+        they are idempotent, since ``k`` copies of one alternative set
+        have the same possible outcomes as one, and the sorted
+        enumeration in :meth:`finish` meets the copies side by side, so
+        it stops at :data:`OR_CAP` on the same alternative.
+        """
         kind = self.kind
         if kind == "collect":
             for alt in alternatives:
@@ -307,16 +324,16 @@ class Accumulator:
         if kind == "count":
             reached = [bool(alt) for alt in alternatives]
             if any(reached):
-                self.hi_count += 1
+                self.hi_count += times
                 if all(reached):
-                    self.lo_count += 1
+                    self.lo_count += times
             return
         if kind == "sum":
             sums = sorted({sum(_numeric_leaves(alt)) for alt in alternatives})
             if len(sums) == 1:
-                self.exact += sums[0]
+                self.exact += sums[0] * times
             elif sums:
-                self.alts.append(tuple(sums))
+                self.alts.extend([tuple(sums)] * times)
             return
         # min / max
         pick = min if kind == "min" else max
@@ -327,9 +344,11 @@ class Accumulator:
         elif bests:
             self.alts.append(tuple(sorted(bests, key=_none_last_value)))
 
-    def add_exploded(self, possible: Iterable[SSObject]) -> None:
-        """A row whose alternative fan-out exceeded the cap: fold the
-        coarsest sound contribution from its spread possible values."""
+    def add_exploded(self, possible: Iterable[SSObject],
+                     times: int = 1) -> None:
+        """``times`` rows whose alternative fan-out exceeded the cap:
+        fold the coarsest sound contribution from their spread possible
+        values, with the multiplicity rule of :meth:`add_row`."""
         possible = list(possible)
         kind = self.kind
         if kind == "collect":
@@ -337,7 +356,7 @@ class Accumulator:
             return
         if kind == "count":
             if possible:
-                self.hi_count += 1
+                self.hi_count += times
             return
         numbers = [value.value for value in possible
                    if type(value) is Atom and _is_number(value.value)]
@@ -346,7 +365,7 @@ class Accumulator:
         if kind == "sum":
             lo = sum(n for n in numbers if n < 0)
             hi = sum(n for n in numbers if n > 0)
-            self.ranges.append((min(lo, 0), max(hi, 0)))
+            self.ranges.extend([(min(lo, 0), max(hi, 0))] * times)
         else:
             self.ranges.append((min(numbers), max(numbers)))
 
@@ -483,10 +502,12 @@ def _cached_alternatives(cache: dict, position: int, obj: SSObject,
     """One row's alternatives at one path, computed at most once per
     cache lifetime.
 
-    The columnar kernels resolve the same (row, path) pair repeatedly —
-    once per aggregate sharing the path, once per group membership in
-    the grouped kernel, and again on every re-invocation over the same
-    store — and rows are rarely interned, so the identity memo inside
+    The columnar kernels resolve the rows they cannot fold from a
+    column this way: tuple-interior entries, rows under an opaque
+    ancestor and residue rows at an aggregated path, and rows with an
+    irregular group key, whose (row, path) pairs recur once per group
+    membership and again on every re-invocation over the same store.
+    Rows are rarely interned, so the identity memo inside
     :func:`path_alternatives` does not help. The cache is the store's
     :attr:`~repro.store.ColumnStore.alt_memo` when it has one (row
     positions are stable for the store's lifetime, so entries stay
@@ -547,68 +568,92 @@ def aggregate_rows(data: Iterable[Data],
 # -- the columnar kernel -------------------------------------------------------
 
 
-def _columnar_into(acc: Accumulator, store, mask: int,
-                   spec: AggregateSpec,
-                   alt_cache: dict | None = None) -> None:
-    """Fold the rows in ``mask`` into ``acc`` column-at-a-time.
+def _fold(accs: list[Accumulator], alternatives, obj: SSObject,
+          steps: tuple[str, ...], times: int = 1) -> None:
+    """Fold ``times`` rows whose value at ``steps`` of ``obj`` has
+    these alternatives (``None``: past the cap) into every
+    accumulator of one path."""
+    if alternatives is None:
+        possible = evaluate_path(obj, steps, spread=True)
+        for acc in accs:
+            acc.add_exploded(possible, times)
+    else:
+        for acc in accs:
+            acc.add_row(alternatives, times)
 
-    The scalar entries of the path's column — nested paths included —
-    fold vectorized (popcount / eq-index / one-pass numeric stats);
-    rows needing the per-row resolver (irregular entries, tuple-valued
-    paths, opaque ancestors) and the residue fall back to
-    :func:`path_alternatives` on the full row object, through
-    ``alt_cache`` when the caller shares one across aggregates.
-    Shredded rows in neither mask definitely reach nothing and
+
+def _columnar_into(accs: Mapping[str, Accumulator], store, mask: int,
+                   aggs: Mapping[str, AggregateSpec],
+                   alt_cache: dict) -> None:
+    """Fold the rows in ``mask`` into ``accs`` column-at-a-time, one
+    pass per aggregated path, shared by the aggregates on it.
+
+    * Scalar entries of the path's column — nested paths included —
+      fold through the column: a popcount,
+      :meth:`~repro.store.columnar.Column.scalar_keys` or
+      :meth:`~repro.store.columnar.Column.numeric_stats`.
+    * Irregular entries (or-values, sets) fold once per distinct field
+      value, with the number of rows holding it as the multiplicity.
+      This is exact: on a shredded row without an opaque ancestor,
+      every proper prefix of the path is a plain tuple, so the row's
+      alternatives are its entry's.
+    * Tuple-interior entries, rows under an opaque ancestor and the
+      residue resolve per row from the full row object, through
+      ``alt_cache``.
+
+    Shredded rows in none of these definitely reach nothing and
     contribute nothing.
     """
     from repro.store.columnar import bit_positions
 
-    steps = spec.steps
-    if steps is None:
-        acc.add_definite_count(mask.bit_count())
-        return
+    paths: dict[tuple[str, ...], list[Accumulator]] = {}
+    for name, spec in aggs.items():
+        if spec.steps is None:
+            accs[name].add_definite_count(mask.bit_count())
+        else:
+            paths.setdefault(spec.steps, []).append(accs[name])
     rows = store.rows
     residue = store.residue_mask & mask
     shredded = store.universe_mask & mask
-    column, scalar_bits, per_row_bits = store.path_masks(steps)
-    scalar = scalar_bits & shredded
-    if scalar:
-        if spec.kind == "count":
-            acc.add_definite_count(scalar.bit_count())
-        elif spec.kind == "collect":
-            acc.add_values(Atom(value)
-                           for (_, value), bits in column.eq_index().items()
-                           if bits & scalar)
-        else:
-            _, total, minimum, maximum = column.numeric_stats(scalar)
-            acc.add_numeric_stats(total, minimum, maximum)
-    for position in bit_positions((per_row_bits & shredded) | residue):
-        obj = rows[position].object
-        if alt_cache is None:
-            _add_object(acc, obj, steps)
-            continue
-        alternatives = _cached_alternatives(alt_cache, position, obj,
-                                            steps)
-        if alternatives is None:
-            acc.add_exploded(evaluate_path(obj, steps, spread=True))
-        else:
-            acc.add_row(alternatives)
+    for steps, path_accs in paths.items():
+        column, scalar_bits, per_row_bits = store.path_masks(steps)
+        scalar = scalar_bits & shredded
+        if scalar:
+            stats = None
+            for acc in path_accs:
+                if acc.kind == "count":
+                    acc.add_definite_count(scalar.bit_count())
+                elif acc.kind == "collect":
+                    acc.add_values(Atom(value) for _, value
+                                   in column.scalar_keys(scalar))
+                else:
+                    if stats is None:
+                        stats = column.numeric_stats(scalar)
+                    acc.add_numeric_stats(*stats[1:])
+        per_row = per_row_bits & shredded
+        irregular = column.irregular & per_row if column is not None else 0
+        if irregular:
+            counts = Counter(map(column.extras.__getitem__,
+                                 bit_positions(irregular)))
+            for value, times in counts.items():
+                _fold(path_accs, path_alternatives(value, ()), value, (),
+                      times)
+        for position in bit_positions(per_row & ~irregular | residue):
+            obj = rows[position].object
+            _fold(path_accs,
+                  _cached_alternatives(alt_cache, position, obj, steps),
+                  obj, steps)
 
 
 def aggregate_columnar(store, mask: int,
                        aggs: Mapping[str, AggregateSpec],
                        ) -> dict[str, object]:
     """The vectorized kernel: aggregate the rows selected by ``mask``
-    directly on the shredded columns; only irregular and residue rows
-    fall back to the per-row resolver."""
+    directly on the shredded columns (see :func:`_columnar_into`)."""
     aggs = _normalize(aggs)
-    alt_cache = _store_alt_cache(store)
-    out: dict[str, object] = {}
-    for name, spec in aggs.items():
-        acc = Accumulator(spec.kind)
-        _columnar_into(acc, store, mask, spec, alt_cache)
-        out[name] = acc.finish()
-    return out
+    accs = {name: Accumulator(spec.kind) for name, spec in aggs.items()}
+    _columnar_into(accs, store, mask, aggs, _store_alt_cache(store))
+    return {name: acc.finish() for name, acc in accs.items()}
 
 
 # -- grouped aggregation -------------------------------------------------------
@@ -642,15 +687,33 @@ def _group_memberships(key_alternatives, spread: Callable[[], list]):
     return memberships
 
 
+def _maybe_nothing(alternatives: tuple, memo: dict | None) -> tuple:
+    """``alternatives`` widened by the "contributes nothing"
+    alternative, for a row whose group membership is uncertain.
+
+    The kernel passes a per-call ``memo``: a few hundred distinct
+    alternative tuples recur over thousands of uncertain memberships.
+    The oracle passes ``None`` and widens every time.
+    """
+    widened = None if memo is None else memo.get(alternatives)
+    if widened is None:
+        widened = _dedup_alts(alternatives + ((),)) or ((),)
+        if memo is not None:
+            memo[alternatives] = widened
+    return widened
+
+
 def _row_group_fold(groups: dict, obj: SSObject,
                     group_steps: tuple[str, ...],
                     aggs: Mapping[str, AggregateSpec],
-                    alternatives_at: Callable) -> None:
+                    alternatives_at: Callable,
+                    widened: dict | None = None) -> None:
     """Fold one row into every group it (maybe-)belongs to.
 
     ``alternatives_at(steps)`` supplies the row's value alternatives at
     any path — from the row object (oracle, residue) or from its column
     entries (kernel) — so both strategies share the membership logic.
+    ``widened`` is the kernel's memo for :func:`_maybe_nothing`.
     """
     memberships = _group_memberships(
         alternatives_at(group_steps),
@@ -680,8 +743,7 @@ def _row_group_fold(groups: dict, obj: SSObject,
                     continue
                 if not definite and () not in alternatives:
                     # Uncertain membership: may contribute nothing.
-                    alternatives = (_dedup_alts(alternatives + ((),))
-                                    or ((),))
+                    alternatives = _maybe_nothing(alternatives, widened)
             acc.add_row(alternatives)
 
 
@@ -707,8 +769,9 @@ def group_aggregate_columnar(store, mask: int, group_path: str,
                              ) -> dict[SSObject, dict[str, object]]:
     """The vectorized grouped kernel: scalar group keys partition
     through the column eq-index (one bitset intersection per group),
-    each group's aggregates fold column-at-a-time, and only rows with
-    irregular keys — or residue rows — walk per-row."""
+    each group's aggregates fold column-at-a-time
+    (:func:`_columnar_into`), and only rows with irregular keys — or
+    residue rows — walk per-row."""
     from repro.store.columnar import bit_positions
 
     aggs = _normalize(aggs)
@@ -732,16 +795,14 @@ def group_aggregate_columnar(store, mask: int, group_path: str,
         key = Atom(value)
         accs = groups[key] = {name: Accumulator(spec.kind)
                               for name, spec in aggs.items()}
-        for name, spec in aggs.items():
-            _columnar_into(accs[name], store, gmask, spec, alt_cache)
+        _columnar_into(accs, store, gmask, aggs, alt_cache)
     if bottom_mask:
         accs = groups.get(BOTTOM)
         if accs is None:
             accs = groups[BOTTOM] = {name: Accumulator(spec.kind)
                                      for name, spec in aggs.items()}
-        for name, spec in aggs.items():
-            _columnar_into(accs[name], store, bottom_mask, spec,
-                           alt_cache)
+        _columnar_into(accs, store, bottom_mask, aggs, alt_cache)
+    widened: dict = {}
     for position in bit_positions(per_row | residue):
         obj = rows[position].object
 
@@ -749,7 +810,8 @@ def group_aggregate_columnar(store, mask: int, group_path: str,
             return _cached_alternatives(alt_cache, _position, _obj,
                                         steps)
 
-        _row_group_fold(groups, obj, group_steps, aggs, alternatives_at)
+        _row_group_fold(groups, obj, group_steps, aggs, alternatives_at,
+                        widened)
     return finish_grouped(groups)
 
 

@@ -406,8 +406,9 @@ class AggregatePlan:
     """The strategy an aggregate/group-by query chose.
 
     ``source`` is the plan of the underlying selection; the aggregate
-    itself runs ``columnar`` (column kernels + per-row fold-in of
-    irregular/residue rows) or ``row`` (per-row resolver throughout).
+    itself runs ``columnar`` (column kernels, irregular entries folded
+    once per distinct value, per-row fold-in of the rest) or ``row``
+    (per-row resolver throughout).
     """
 
     strategy: str                     # "columnar" or "row"

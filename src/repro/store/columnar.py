@@ -121,6 +121,14 @@ _SCAN_MEMO_CAP = 128
 #: store via ``ColumnStore.build(shred_depth=...)``).
 DEFAULT_SHRED_DEPTH = 8
 
+#: A mask folds once per distinct value of a column's built eq-index
+#: only when the index has at most ``popcount(mask) / _PER_VALUE_RATIO``
+#: keys. On 26k-row columns with hundreds of distinct values, the
+#: per-value ``numeric_stats`` broke even with the row loop at 7–8
+#: rows per key, and ``scalar_keys`` at about 2 (EXPERIMENTS.md).
+_PER_VALUE_RATIO = 8
+
+
 def bit_positions(bits: int) -> list[int]:
     """Ascending positions of the set bits of a non-negative int.
 
@@ -130,13 +138,10 @@ def bit_positions(bits: int) -> list[int]:
     """
     if bits <= 0:
         return []
-    out: list[int] = []
     raw = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-    for index, byte in enumerate(raw):
-        if byte:
-            base = index << 3
-            out.extend(base + bit for bit in _BYTE_BITS[byte])
-    return out
+    table = _BYTE_BITS
+    return [index << 3 | bit for index, byte in enumerate(raw) if byte
+            for bit in table[byte]]
 
 
 class _BitBuilder:
@@ -337,16 +342,50 @@ class Column:
         """Distinct scalar values (planner join/group statistics)."""
         return len(self.eq_index())
 
+    def _per_value_index(self, mask: int) -> dict | None:
+        """The built eq-index when folding ``mask`` once per distinct
+        value costs less than decoding its rows, else ``None``.
+
+        The rule is :data:`_PER_VALUE_RATIO`. It never builds the
+        index: on a high-cardinality column the build costs far more
+        than the fold it would save (the ``title`` eq-index measured
+        130 MB), so a column nothing has indexed folds by row.
+        """
+        index = self._eq_index
+        if (index is not None
+                and len(index) * _PER_VALUE_RATIO <= mask.bit_count()):
+            return index
+        return None
+
     def numeric_stats(self, mask: int):
         """``(count, total, min, max)`` over the numeric scalar entries
-        at positions in ``mask`` — the one-pass fold behind columnar
+        at positions in ``mask`` — the fold behind columnar
         ``sum``/``min``/``max`` (booleans excluded, like the ordered
-        comparisons)."""
-        values = self.values
+        comparisons).
+
+        Folds once per distinct value when :meth:`_per_value_index`
+        allows: min and max are the first and last value of the sorted
+        range index whose bitset meets the mask, the total is
+        Σ value × popcount(bits & mask) and the count Σ popcount.
+        Otherwise one pass over the mask's rows. (A float total may
+        differ between the two in the last digits.)
+        """
         count = 0
         total = 0
         minimum = None
         maximum = None
+        if self._per_value_index(mask) is not None:
+            values, bitsets = self._range_index()[:2]
+            for value, bits in zip(values, bitsets):
+                hits = (bits & mask).bit_count()
+                if hits:
+                    count += hits
+                    total += value * hits
+                    if minimum is None:
+                        minimum = value
+                    maximum = value
+            return count, total, minimum, maximum
+        values = self.values
         for position in bit_positions(mask):
             value = values[position]
             if isinstance(value, (int, float)) and not isinstance(value,
@@ -358,6 +397,21 @@ class Column:
                 if maximum is None or value > maximum:
                     maximum = value
         return count, total, minimum, maximum
+
+    def scalar_keys(self, mask: int):
+        """The distinct ``(type, value)`` keys of the scalar entries at
+        positions in ``mask`` — what columnar ``collect`` reads.
+
+        Per key of the eq-index when :meth:`_per_value_index` allows,
+        otherwise from the mask's rows.
+        """
+        index = self._per_value_index(mask)
+        if index is not None:
+            return [key for key, bits in index.items() if bits & mask]
+        values = self.values
+        return {(type(value), value)
+                for value in map(values.__getitem__, bit_positions(mask))
+                if value is not None}
 
     def eq_bits(self, primitive) -> int:
         """Unmasked positions whose scalar entry type-strictly equals
@@ -880,12 +934,17 @@ class ColumnStore:
         """Per-snapshot memo for the query layer's per-row alternatives
         resolver: ``(position, steps) -> alternatives``. Rows and
         positions are immutable for the store's lifetime, so resolved
-        alternatives stay valid across queries — the aggregate kernels
-        share this dict instead of re-walking irregular rows on every
-        invocation (capped by the caller, benign under races like the
-        scan memos). It is never carried to a :meth:`patched`
-        successor: siblings of one parent put different rows at the
-        same new positions."""
+        alternatives stay valid across queries (capped by the caller,
+        benign under races like the scan memos).
+
+        The aggregate kernels read it only for the rows they cannot
+        fold from a column: tuple-interior entries, rows under an
+        opaque ancestor and residue rows at an aggregated path, and
+        the rows whose group key is irregular, once per membership.
+        Irregular entries at an aggregated path fold once per distinct
+        field value instead and never reach it. It is never carried
+        to a :meth:`patched` successor: siblings of one parent put
+        different rows at the same new positions."""
         return self._alt_memo
 
     def column(self, path) -> "Column | None":

@@ -14,7 +14,9 @@ set-wrapped, i.e. every multi-level shred class incl. opaque):
   keys, type-strict ones among them;
 * the columnar aggregate kernels (plain and grouped) equal the per-row
   ``path_alternatives`` oracle, over whole stores and over arbitrary
-  row-subset masks — for every aggregate kind.
+  row-subset masks — for every aggregate kind, also when many rows
+  share a few or-values and sets (one past the alternative cap), which
+  the kernel folds once per distinct value with a multiplicity.
 
 Values are integers/strings only (no floats), so ``sum`` equality is
 exact, never approximate.
@@ -292,6 +294,74 @@ def test_grouped_subset_mask_matches_row_oracle(dataset, selector, group):
     mask, rows = subset(store, selector)
     assert group_aggregate_columnar(store, mask, group, AGGS) == \
         group_aggregate_rows(rows, group, AGGS)
+
+
+# ---------------------------------------------------------------------------
+# Many rows sharing few irregular values: the kernel folds each distinct
+# value once, with its row count as the multiplicity.
+# ---------------------------------------------------------------------------
+
+#: ``2 ** 5 = 32`` resolutions, past the 24-alternative cap.
+PAST_CAP = cset(*(orv(2 * i, 2 * i + 1) for i in range(5)))
+
+shared_values = st.one_of(
+    st.lists(st.sampled_from(YEARS), min_size=2, max_size=3,
+             unique=True).map(lambda vs: orv(*vs)),
+    st.lists(st.sampled_from(YEARS), min_size=1, max_size=2,
+             unique=True).map(lambda vs: orv(*vs, bottom)),
+    st.lists(st.sampled_from(YEARS), min_size=1, max_size=3,
+             unique=True).map(lambda vs: cset(*vs)),
+    st.lists(st.sampled_from(YEARS), min_size=1, max_size=3,
+             unique=True).map(lambda vs: pset(*vs)),
+)
+
+
+@st.composite
+def sharing_datasets(draw):
+    """10-60 rows whose ``year`` comes from a pool of at most five
+    or-values and sets, :data:`PAST_CAP` among them; some rows hold a
+    scalar year or none."""
+    pool = draw(st.lists(shared_values, max_size=4)) + [PAST_CAP]
+    rows = []
+    for index in range(draw(st.integers(10, 60))):
+        fields = {"type": Atom(draw(st.sampled_from(("a", "b"))))}
+        shape = draw(st.integers(0, 5))
+        if shape > 1:
+            fields["year"] = draw(st.sampled_from(pool))
+        elif shape == 1:
+            fields["year"] = Atom(draw(st.sampled_from(YEARS)))
+        rows.append(Data(Marker(f"s{index:02d}"), tup(**fields)))
+    return DataSet(rows)
+
+
+SHARED_AGGS = {
+    "count(*)": Count(),
+    "count(year)": Count("year"),
+    "sum(year)": Sum("year"),
+    "min(year)": Min("year"),
+    "max(year)": Max("year"),
+    "collect(year)": Collect("year"),
+}
+
+
+@CASES
+@given(sharing_datasets(),
+       st.one_of(st.just((1 << 60) - 1),
+                 st.integers(min_value=0, max_value=(1 << 60) - 1)),
+       st.sampled_from((None, "type", "year")))
+def test_shared_values_fold_with_multiplicity(dataset, selector, group):
+    """Plain and grouped aggregates over the whole store or a row
+    subset equal the row oracle when many rows share few or-values and
+    sets, one of them past the cap."""
+    store = ColumnStore.build(dataset)
+    mask, rows = subset(store, selector)
+    if group is None:
+        assert aggregate_columnar(store, mask, SHARED_AGGS) == \
+            aggregate_rows(rows, SHARED_AGGS)
+    else:
+        assert group_aggregate_columnar(store, mask, group,
+                                        SHARED_AGGS) == \
+            group_aggregate_rows(rows, group, SHARED_AGGS)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,70 @@ class TestAggregates:
         assert repr(Bounds(1, 3)) == "[1, 3]"
 
 
+#: ``2 ** 5 = 32`` resolutions, past the 24-alternative cap.
+PAST_CAP = cset(*(orv(2 * i, 2 * i + 1) for i in range(5)))
+
+#: Five or-values and sets, shared by many rows.
+SHARED_YEARS = (orv(1990, 1991), orv(1992, bottom), cset(1993, 1994),
+                pset(1995, 1996), orv(1997, 1998, 1999))
+
+SHARED_AGGS = dict(n=Count(), c=Count("year"), s=Sum("year"),
+                   lo=Min("year"), hi=Max("year"), all=Collect("year"))
+
+
+def sharing(size):
+    """``size`` rows in two groups whose ``year`` cycles through
+    :data:`SHARED_YEARS`, and a query over their column store."""
+    data = dataset(*[(f"S{i:05d}", tup(type=("a", "b")[i % 2],
+                                       year=SHARED_YEARS[i % 5]))
+                     for i in range(size)])
+    return Query(data).with_columns(ColumnStore.build(data))
+
+
+class TestAggregateMultiplicity:
+    """Rows that share one irregular value fold it once, with their
+    count as the multiplicity of ``count`` and ``sum``."""
+
+    def test_rows_sharing_a_past_cap_set(self):
+        data = dataset(*[(f"P{i}", tup(year=PAST_CAP))
+                         for i in range(10)])
+        query = Query(data).with_columns(ColumnStore.build(data))
+        aggs = dict(c=Count("year"), s=Sum("year"), lo=Min("year"),
+                    hi=Max("year"))
+        result = query.aggregate(**aggs)
+        assert repr(result["c"]) == "[0, 10]"
+        assert repr(result["s"]) == "[0, 450]"
+        assert repr(result["lo"]) == "[0, 9]"
+        assert result == query.aggregate(**aggs, naive=True)
+
+
+class TestAggregateCost:
+    """The kernel resolves each distinct irregular value once per fold,
+    not once per row that holds it."""
+
+    def test_shared_values_resolve_per_value(self, monkeypatch):
+        from repro.core.intern import is_interned
+        from repro.query import aggregates
+
+        calls = []
+        original = aggregates.path_alternatives
+        monkeypatch.setattr(aggregates, "path_alternatives",
+                            lambda obj, steps: calls.append(obj)
+                            or original(obj, steps))
+        counts = []
+        for size in (200, 2000):
+            query = sharing(size)
+            calls.clear()
+            plain = query.aggregate(**SHARED_AGGS)
+            grouped = query.group_aggregate("type", **SHARED_AGGS)
+            counts.append(len(calls))
+            assert calls and not any(map(is_interned, calls))
+            assert plain == query.aggregate(**SHARED_AGGS, naive=True)
+            assert grouped == query.group_aggregate("type", **SHARED_AGGS,
+                                                    naive=True)
+        assert counts[0] == counts[1]
+
+
 class TestAggregateGrammar:
     def test_textual_aggregate(self):
         result = run_query(

@@ -3,7 +3,8 @@
 Covers the multi-level shred classification rules (scalar / irregular
 sidecar / tuple-interior / opaque / row-fallback residue / field-less
 tops), the path-keyed columns and per-level bitset semantics, the
-bitset plumbing, copy-on-write ``patched()`` including tombstones,
+bitset plumbing, the per-value and per-row folds behind columnar
+aggregates, copy-on-write ``patched()`` including tombstones,
 resurrection, the compacting drift rebuild and the indexes and scan
 memos it carries into the next generation, and the ≥600-deep
 pathological-nesting regression the binary codec set the precedent
@@ -12,10 +13,13 @@ without blowing the recursion limit — tuple chains past the
 shred-depth cap truncate into opaque entries instead of overflowing.
 """
 
+import random
+
 from repro.core.builder import atom, cset, orv, pset, tup
 from repro.core.data import Data, DataSet
 from repro.core.objects import Atom, Marker, Tuple
 from repro.query import Contains, Eq, Exists, Ge, Query
+from repro.store import columnar
 from repro.store.columnar import (
     Column,
     ColumnStore,
@@ -60,6 +64,18 @@ class TestBitPositions:
         for position in positions:
             bits |= 1 << position
         assert bit_positions(bits) == positions
+
+    def test_seeded_round_trip_at_random_densities(self):
+        rng = random.Random(1885)
+        for length in (1, 7, 8, 9, 63, 65, 1001, 4099):
+            for density in (0.01, 0.2, 0.5, 0.9, 1.0):
+                bits = 0
+                for position in range(length):
+                    if rng.random() < density:
+                        bits |= 1 << position
+                assert bit_positions(bits) == [
+                    position for position in range(length)
+                    if bits >> position & 1]
 
 
 class TestBuildClassification:
@@ -264,6 +280,107 @@ class TestIndexBuild:
             (str, "c"): 1 << 4,
         }
         assert fallback == 1 << 4
+
+
+#: Ten type-strict keys: ints, exactly representable floats, both
+#: booleans (never numeric) and strings.
+MIXED = [3, 1.5, True, "s", 7, False, 2.0, "t", -4, 1]
+
+
+def mixed_column():
+    return Column(MIXED * 40, 0, 0, 0, 0, {})
+
+
+def mask_where(column, keep):
+    return sum(1 << position for position, value in enumerate(column.values)
+               if keep(position, value))
+
+
+def stats_oracle(column, mask):
+    numbers = [value for position, value in enumerate(column.values)
+               if mask >> position & 1
+               and isinstance(value, (int, float))
+               and not isinstance(value, bool)]
+    return (len(numbers), sum(numbers), min(numbers, default=None),
+            max(numbers, default=None))
+
+
+def keys_oracle(column, mask):
+    return {(type(value), value)
+            for position, value in enumerate(column.values)
+            if mask >> position & 1 and value is not None}
+
+
+class TestValueFolds:
+    """``numeric_stats`` and ``scalar_keys`` fold once per distinct
+    value only when the built eq-index has at most
+    popcount(mask) / ``_PER_VALUE_RATIO`` keys, decode the mask's rows
+    otherwise, equal the row oracle on both sides, and never build the
+    index themselves."""
+
+    @staticmethod
+    def decodes(monkeypatch):
+        calls = []
+        original = columnar.bit_positions
+        monkeypatch.setattr(columnar, "bit_positions",
+                            lambda bits: calls.append(bits)
+                            or original(bits))
+        return calls
+
+    @staticmethod
+    def check(column, mask):
+        assert column.numeric_stats(mask) == stats_oracle(column, mask)
+        assert set(column.scalar_keys(mask)) == keys_oracle(column, mask)
+
+    def test_per_value_side(self, monkeypatch):
+        column = mixed_column()
+        boundary = len(column.eq_index()) * columnar._PER_VALUE_RATIO
+        masks = [
+            (1 << len(column.values)) - 1,
+            (1 << boundary) - 1,
+            mask_where(column, lambda position, _: position % 2 == 0),
+            mask_where(column, lambda _, value: type(value) is bool),
+            mask_where(column, lambda _, value: type(value) is str),
+            mask_where(column, lambda _, value: type(value) is float),
+        ]
+        calls = self.decodes(monkeypatch)
+        for mask in masks:
+            assert mask.bit_count() >= boundary
+            self.check(column, mask)
+        assert calls == []
+        # Booleans and strings alone hold no number.
+        assert column.numeric_stats(masks[3]) == (0, 0, None, None)
+        assert column.numeric_stats(masks[4]) == (0, 0, None, None)
+
+    def test_row_side(self, monkeypatch):
+        column = mixed_column()
+        masks = [
+            (1 << len(column.values)) - 1,
+            mask_where(column, lambda position, value:
+                       position < 100 and type(value) is bool),
+            0b1010,
+            0,
+        ]
+        calls = self.decodes(monkeypatch)
+        for mask in masks:
+            self.check(column, mask)
+        # Nothing indexed: every mask decodes its rows, and the folds
+        # leave the column unindexed.
+        assert len(calls) == 2 * len(masks)
+        assert column._eq_index is None
+        boundary = len(column.eq_index()) * columnar._PER_VALUE_RATIO
+        calls.clear()
+        for mask in [(1 << (boundary - 1)) - 1] + masks[1:]:
+            assert mask.bit_count() < boundary
+            self.check(column, mask)
+        assert len(calls) == 2 * len(masks)
+
+    def test_empty_mask(self):
+        column = mixed_column()
+        for _ in range(2):
+            assert column.numeric_stats(0) == (0, 0, None, None)
+            assert not column.scalar_keys(0)
+            column.eq_index()
 
 
 class TestPatched:
