@@ -55,7 +55,7 @@ reaches nothing group under ⊥.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.intern import is_interned as _is_interned
@@ -120,16 +120,21 @@ class AggregateSpec:
 
     kind: str
     path: str | None = None
+    #: The parsed path, set once here: the fold reads it per row.
+    _steps: tuple[str, ...] | None = field(init=False, repr=False,
+                                          compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in _AGG_KINDS:
             raise QueryError(f"unknown aggregate {self.kind!r}")
         if self.path is None and self.kind != "count":
             raise QueryError(f"{self.kind}() needs a path")
+        if self.path is not None:
+            object.__setattr__(self, "_steps", parse_path(self.path))
 
     @property
     def steps(self) -> tuple[str, ...] | None:
-        return None if self.path is None else parse_path(self.path)
+        return self._steps
 
     def label(self) -> str:
         return f"{self.kind}({self.path if self.path is not None else '*'})"
@@ -633,13 +638,14 @@ def _columnar_into(accs: Mapping[str, Accumulator], store, mask: int,
         per_row = per_row_bits & shredded
         irregular = column.irregular & per_row if column is not None else 0
         if irregular:
-            counts = Counter(map(column.extras.__getitem__,
-                                 bit_positions(irregular)))
+            counts = Counter(column.extras.values_at(
+                bit_positions(irregular)))
             for value, times in counts.items():
                 _fold(path_accs, path_alternatives(value, ()), value, (),
                       times)
-        for position in bit_positions(per_row & ~irregular | residue):
-            obj = rows[position].object
+        positions = bit_positions(per_row & ~irregular | residue)
+        for position, datum in zip(positions, rows.gather(positions)):
+            obj = datum.object
             _fold(path_accs,
                   _cached_alternatives(alt_cache, position, obj, steps),
                   obj, steps)
@@ -687,19 +693,22 @@ def _group_memberships(key_alternatives, spread: Callable[[], list]):
     return memberships
 
 
-def _maybe_nothing(alternatives: tuple, memo: dict | None) -> tuple:
+def _maybe_nothing(alternatives: tuple,
+                   memo: dict | None) -> tuple | None:
     """``alternatives`` widened by the "contributes nothing"
-    alternative, for a row whose group membership is uncertain.
+    alternative, for a row whose group membership is uncertain, or
+    ``None`` when the widened set passes :data:`_ALT_CAP` (the caller
+    then folds the row through :meth:`Accumulator.add_exploded`).
 
     The kernel passes a per-call ``memo``: a few hundred distinct
     alternative tuples recur over thousands of uncertain memberships.
     The oracle passes ``None`` and widens every time.
     """
-    widened = None if memo is None else memo.get(alternatives)
-    if widened is None:
-        widened = _dedup_alts(alternatives + ((),)) or ((),)
-        if memo is not None:
-            memo[alternatives] = widened
+    if memo is not None and alternatives in memo:
+        return memo[alternatives]
+    widened = _dedup_alts(alternatives + ((),))
+    if memo is not None:
+        memo[alternatives] = widened
     return widened
 
 
@@ -737,13 +746,16 @@ def _row_group_fold(groups: dict, obj: SSObject,
                                 else ((), (key,)))
             else:
                 alternatives = alternatives_at(steps)
+                if (not definite and alternatives is not None
+                        and () not in alternatives):
+                    # Uncertain membership: may contribute nothing.
+                    alternatives = _maybe_nothing(alternatives, widened)
                 if alternatives is None:
+                    # Past the cap, before or after widening: fold the
+                    # coarse sound contribution of the spread values.
                     acc.add_exploded(evaluate_path(obj, steps,
                                                    spread=True))
                     continue
-                if not definite and () not in alternatives:
-                    # Uncertain membership: may contribute nothing.
-                    alternatives = _maybe_nothing(alternatives, widened)
             acc.add_row(alternatives)
 
 
@@ -803,8 +815,9 @@ def group_aggregate_columnar(store, mask: int, group_path: str,
                                      for name, spec in aggs.items()}
         _columnar_into(accs, store, bottom_mask, aggs, alt_cache)
     widened: dict = {}
-    for position in bit_positions(per_row | residue):
-        obj = rows[position].object
+    positions = bit_positions(per_row | residue)
+    for position, datum in zip(positions, rows.gather(positions)):
+        obj = datum.object
 
         def alternatives_at(steps, _obj=obj, _position=position):
             return _cached_alternatives(alt_cache, _position, _obj,

@@ -15,7 +15,7 @@ The fluent entry point is :class:`Query`::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.builder import obj as _to_object
 from repro.core.data import Data, DataSet
@@ -244,15 +244,22 @@ class Query:
     conjuncts probe it instead of scanning. ``naive=True`` on the
     executing methods bypasses all of that and runs the definitional
     full scan — the oracle the planned path must agree with.
+
+    ``dataset`` may also be a zero-argument callable producing the
+    :class:`DataSet` (what :class:`~repro.store.database.Database`
+    passes, with ``size=`` its row count): it is called only by the
+    paths that walk the whole set — row scans, index probes and
+    ``naive=True`` — so a columnar read never builds it.
     """
 
-    def __init__(self, dataset: DataSet,
+    def __init__(self, dataset: "DataSet | Callable[[], DataSet]",
                  condition: Condition | None = None,
                  projection: tuple[str, ...] | None = None,
                  order: tuple[tuple[str, ...], bool] | None = None,
                  limit_count: int | None = None, *,
                  index: "object | None" = None,
-                 columns: "object | None" = None):
+                 columns: "object | None" = None,
+                 size: int | None = None):
         self._dataset = dataset
         self._condition = condition
         self._projection = projection
@@ -260,14 +267,27 @@ class Query:
         self._limit = limit_count
         self._index = index
         self._columns = columns
+        self._size = size
 
     def _derive(self, **changes) -> "Query":
         state = dict(dataset=self._dataset, condition=self._condition,
                      projection=self._projection, order=self._order,
                      limit_count=self._limit, index=self._index,
-                     columns=self._columns)
+                     columns=self._columns, size=self._size)
         state.update(changes)
         return Query(**state)
+
+    def _data(self) -> DataSet:
+        """The queried :class:`DataSet`, resolving a lazy source."""
+        dataset = self._dataset
+        return dataset() if callable(dataset) else dataset
+
+    def _count(self) -> int:
+        """The queried row count, without resolving a lazy source when
+        the size was given."""
+        if self._size is not None:
+            return self._size
+        return len(self._data())
 
     def with_columns(self, columns: "object | None") -> "Query":
         """Attach a columnar shredding of the queried data set.
@@ -333,7 +353,7 @@ class Query:
 
         plan = explain_plan(self._condition, self._index, self._order,
                             self._limit, columns=self._columns,
-                            size=len(self._dataset))
+                            size=self._count())
         if analyze:
             plan = dataclasses.replace(
                 plan, actual_rows=len(self._selected()))
@@ -346,12 +366,12 @@ class Query:
 
         return select_data(self._dataset, self._condition, self._index,
                            self._order, self._limit,
-                           columns=self._columns)
+                           columns=self._columns, size=self._size)
 
     def _selected_naive(self) -> list[Data]:
         # The definitional full scan: the oracle for the planned path.
         selected = [
-            datum for datum in self._dataset
+            datum for datum in self._data()
             if self._condition is None
             or self._condition.matches(datum.object)
         ]
@@ -427,7 +447,7 @@ class Query:
         from repro.query.compile import compile_columnar, compile_condition
         from repro.query.planner import _resolve_columns
 
-        store = _resolve_columns(self._columns, len(self._dataset))
+        store = _resolve_columns(self._columns, self._count())
         if store is None:
             return None
         if self._condition is None:
@@ -511,7 +531,7 @@ class Query:
         specs = _normalize(aggs)
         source = explain_plan(self._condition, self._index,
                               columns=self._columns,
-                              size=len(self._dataset))
+                              size=self._count())
         store = None
         if self._order is None and self._limit is None:
             selection = self._columnar_selection()

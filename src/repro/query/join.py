@@ -223,18 +223,18 @@ def _build_maps(side: _Side, steps: tuple[str, ...]):
     shredded = store.universe_mask & mask
     column, scalar_bits, per_row_bits = store.path_masks(steps)
     if column is not None:
-        values = column.values
-        for position in bit_positions(scalar_bits & shredded):
-            value = values[position]
+        positions = bit_positions(scalar_bits & shredded)
+        for value, datum in zip(column.values.gather(positions),
+                                rows.gather(positions)):
             key = (type(value), value)
             bucket = definite_map.get(key)
             if bucket is None:
-                definite_map[key] = [rows[position]]
+                definite_map[key] = [datum]
             else:
-                bucket.append(rows[position])
+                bucket.append(datum)
     per_row = (per_row_bits & shredded) | (store.residue_mask & mask)
-    for position in bit_positions(per_row):
-        add_per_row(rows[position])
+    for datum in rows.gather(bit_positions(per_row)):
+        add_per_row(datum)
     return definite_map, maybe_map
 
 
@@ -291,17 +291,15 @@ def hash_join(left: _Side | Sequence[Data], right: _Side | Sequence[Data],
         per_row = ((store.residue_mask & mask)
                    | (per_row_bits & shredded))
         if column is not None:
-            values = column.values
-            for position in bit_positions(scalar_bits & shredded):
-                value = values[position]
+            positions = bit_positions(scalar_bits & shredded)
+            for value, datum in zip(column.values.gather(positions),
+                                    rows.gather(positions)):
                 key = (type(value), value)
-                datum = rows[position]
                 for partner in definite_map.get(key, ()):
                     emit(datum, partner, False)
                 for partner in maybe_map.get(key, ()):
                     emit(datum, partner, True)
-        for position in bit_positions(per_row):
-            datum = rows[position]
+        for datum in rows.gather(bit_positions(per_row)):
             definite, possible = join_keys(datum.object, on_steps[0])
             probe_with(datum, definite, possible)
     else:
@@ -342,15 +340,14 @@ class JoinQuery:
 
     @staticmethod
     def _side(query: Query, naive: bool) -> _Side:
-        dataset = query._dataset
         condition = query._condition
         if naive:
-            rows = [datum for datum in dataset
+            rows = [datum for datum in query._data()
                     if condition is None or condition.matches(datum.object)]
             return _Side(rows)
-        store = _resolve_columns(query._columns, len(dataset))
+        store = _resolve_columns(query._columns, query._count())
         if condition is None:
-            rows = list(dataset)
+            rows = list(query._data())
             if store is None:
                 return _Side(rows)
             return _Side(rows, store,
@@ -358,11 +355,11 @@ class JoinQuery:
         predicate = compile_condition(condition)
         program = compile_columnar(condition)
         if store is None or program is None:
-            rows = [datum for datum in dataset
+            rows = [datum for datum in query._data()
                     if predicate(datum.object)]
             return _Side(rows)
         positions = store.match_positions(program, predicate)
-        rows = [store.rows[position] for position in positions]
+        rows = store.rows.gather(positions)
         return _Side(rows, store, store.positions_mask(positions))
 
     # -- execution -------------------------------------------------------------
@@ -407,11 +404,11 @@ class JoinQuery:
             self._on,
             explain_plan(self._left._condition, self._left._index,
                          columns=self._left._columns,
-                         size=len(self._left._dataset)),
+                         size=self._left._count()),
             explain_plan(self._right._condition, self._right._index,
                          columns=self._right._columns,
-                         size=len(self._right._dataset)),
-            len(self._left._dataset), len(self._right._dataset),
+                         size=self._right._count()),
+            self._left._count(), self._right._count(),
             build_store=(left if build == "left" else right).store,
             build=build)
         if not analyze:

@@ -323,10 +323,12 @@ class QuerySpec:
         return self.aggregates is not None
 
     def query(self, dataset: DataSet, index: object | None = None,
-              columns: object | None = None) -> Query:
+              columns: object | None = None, *,
+              size: int | None = None) -> Query:
         """Bind the spec to a data set (and optional attribute index
-        and columnar shredding)."""
-        query = Query(dataset, index=index, columns=columns)
+        and columnar shredding). ``dataset`` may be a lazy callable
+        with ``size`` its row count (see :class:`Query`)."""
+        query = Query(dataset, index=index, columns=columns, size=size)
         if self.condition is not None:
             query = query.where(self.condition)
         if self.order is not None:
@@ -340,12 +342,13 @@ class QuerySpec:
 
     def run_aggregate(self, dataset: DataSet, index: object | None = None,
                       columns: object | None = None, *,
-                      naive: bool = False) -> dict:
+                      naive: bool = False,
+                      size: int | None = None) -> dict:
         """Execute an aggregate spec: ``{label: outcome}``, or ``{group
         key: {label: outcome}}`` with a ``group by`` clause."""
         if self.aggregates is None:
             raise QueryError("not an aggregate query")
-        query = self.query(dataset, index, columns)
+        query = self.query(dataset, index, columns, size=size)
         if self.group is not None:
             return query.group_aggregate(self.group, *self.aggregates,
                                          naive=naive)

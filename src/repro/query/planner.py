@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.data import Data, DataSet
 from repro.core.objects import Atom
@@ -224,12 +224,12 @@ def _resolve_columns(columns, size: int | None) -> "ColumnStore | None":
     return store
 
 
-def select_data(dataset: DataSet,
+def select_data(dataset: "DataSet | Callable[[], DataSet]",
                 condition: Condition | None,
                 index: "AttrIndex | None" = None,
                 order: tuple[Sequence[str], bool] | None = None,
                 limit: int | None = None,
-                columns=None) -> list[Data]:
+                columns=None, size: int | None = None) -> list[Data]:
     """Plan and execute a selection; result order matches the naive scan.
 
     ``index`` must index exactly the data in ``dataset`` (candidate
@@ -237,9 +237,16 @@ def select_data(dataset: DataSet,
     index still yields correct results). ``columns`` optionally names
     the snapshot's :class:`~repro.store.columnar.ColumnStore` (or a
     lazy callable producing it) for the columnar scan strategy.
+    ``dataset`` may be a zero-argument callable producing the set, with
+    ``size`` its row count: the columnar strategy then never calls it.
     """
+    def resolve() -> DataSet:
+        return dataset() if callable(dataset) else dataset
+
+    if size is None:
+        size = len(resolve())
     if condition is None:
-        selected = list(dataset)
+        selected = list(resolve())
         return _order_limit(selected, order, limit)
 
     probes: list[tuple[Condition, str]] = []
@@ -253,12 +260,12 @@ def select_data(dataset: DataSet,
         # lazy one only builds) when the condition actually compiled.
         predicate = compile_condition(condition)
         program = compile_columnar(condition)
-        store = (_resolve_columns(columns, len(dataset))
+        store = (_resolve_columns(columns, size)
                  if program is not None else None)
         if store is not None:
             selected = store.matches(program, predicate)
             return _order_limit(selected, order, limit)
-        selected = [datum for datum in dataset
+        selected = [datum for datum in resolve()
                     if predicate(datum.object)]
         return _order_limit(selected, order, limit)
 
@@ -273,8 +280,9 @@ def select_data(dataset: DataSet,
         candidates &= other
         if not candidates:
             break
+    data = resolve()
     matched = [datum for datum in candidates
-               if datum in dataset
+               if datum in data
                and (predicate is None or predicate(datum.object))]
     matched.sort(key=_canonical_key)
     return _order_limit(matched, order, limit)

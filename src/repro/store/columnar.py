@@ -82,6 +82,8 @@ opaque entry at the cap.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.core.data import Data, DataSet
@@ -97,6 +99,7 @@ from repro.core.objects import (
     Tuple,
 )
 from repro.core.order import structural_key
+from repro.store.persistent import PagedList, PMap
 
 __all__ = ["Column", "ColumnStore", "bit_positions",
            "DEFAULT_SHRED_DEPTH"]
@@ -165,6 +168,9 @@ class _BitBuilder:
 
 def _canonical_key(datum: Data) -> tuple:
     return (structural_key(datum.marker), structural_key(datum.object))
+
+
+_first = itemgetter(0)
 
 
 #: Entry classification results (see the module docs).
@@ -286,31 +292,37 @@ def _shreddable_top(obj: SSObject) -> bool:
 class Column:
     """One attribute path's physical column.
 
-    ``values`` is a flat list indexed by row position: the primitive
-    atom value at scalar positions, ``None`` elsewhere (atom values are
-    never ``None``, so no sentinel collision). ``present``,
+    ``values`` is a :class:`~repro.store.persistent.PagedList` indexed
+    by row position: the primitive atom value at scalar positions,
+    ``None`` elsewhere (atom values are never ``None``, so no sentinel
+    collision). Kernels read it by iteration or
+    :meth:`~repro.store.persistent.PagedList.gather`, never one
+    ``[position]`` call per row. ``present``,
     ``irregular``, ``tuples`` and ``opaque`` are position bitsets:
     ``tuples`` marks tuple-interior entries (the value at this path is
     a plain nested tuple whose fields live in deeper columns), and
     ``opaque`` ⊆ ``irregular`` marks entries whose *descendants* the
-    columns do not cover. ``extras`` maps irregular positions to the
-    original field object (the source of the possible-value index).
-    Bits at tombstoned positions are masked by the store, never
-    cleared here.
+    columns do not cover. ``extras`` is a
+    :class:`~repro.store.persistent.PMap` from irregular positions to
+    the original field object (the source of the possible-value index).
+    A plain list or dict passed in is converted. Bits at tombstoned
+    positions are masked by the store, never cleared here.
     """
 
     __slots__ = ("values", "present", "irregular", "tuples", "opaque",
                  "extras", "_eq_index", "_scan_memo", "_ordered_index",
                  "_irr_index", "_irr_ordered")
 
-    def __init__(self, values: list, present: int, irregular: int,
-                 tuples: int, opaque: int, extras: dict[int, SSObject]):
-        self.values = values
+    def __init__(self, values: "PagedList | list", present: int,
+                 irregular: int, tuples: int, opaque: int,
+                 extras: "PMap | dict[int, SSObject]"):
+        self.values = (values if isinstance(values, PagedList)
+                       else PagedList(values))
         self.present = present
         self.irregular = irregular
         self.tuples = tuples
         self.opaque = opaque
-        self.extras = extras
+        self.extras = extras if isinstance(extras, PMap) else PMap(extras)
         self._eq_index: dict | None = None
         self._scan_memo: dict = {}
         self._ordered_index: tuple | None = None
@@ -385,9 +397,7 @@ class Column:
                         minimum = value
                     maximum = value
             return count, total, minimum, maximum
-        values = self.values
-        for position in bit_positions(mask):
-            value = values[position]
+        for value in self.values.gather(bit_positions(mask)):
             if isinstance(value, (int, float)) and not isinstance(value,
                                                                   bool):
                 count += 1
@@ -408,9 +418,8 @@ class Column:
         index = self._per_value_index(mask)
         if index is not None:
             return [key for key, bits in index.items() if bits & mask]
-        values = self.values
         return {(type(value), value)
-                for value in map(values.__getitem__, bit_positions(mask))
+                for value in self.values.gather(bit_positions(mask))
                 if value is not None}
 
     def eq_bits(self, primitive) -> int:
@@ -558,8 +567,9 @@ class Column:
         scan memo (one ``dict.copy()``: readers may be inserting, and a
         copy is never iterated half-way through an insert).
         """
-        column = Column(self.values + pad, self.present, self.irregular,
-                        self.tuples, self.opaque, self.extras)
+        column = Column(self.values.extended(pad), self.present,
+                        self.irregular, self.tuples, self.opaque,
+                        self.extras)
         column._eq_index = self._eq_index
         column._ordered_index = self._ordered_index
         column._irr_index = self._irr_index
@@ -579,14 +589,17 @@ class Column:
         readers may be inserting). Structures this column never built,
         and the sorted range indexes, stay lazy in the successor.
         """
-        extras = dict(self.extras)
-        extras.update((shift + position, value)
-                      for position, value in tail.extras.items())
-        column = Column(self.values + tail.values,
-                        self.present | tail.present << shift,
-                        self.irregular | tail.irregular << shift,
-                        self.tuples | tail.tuples << shift,
-                        self.opaque | tail.opaque << shift,
+        extras = self.extras
+        if tail.extras:
+            edit = extras.edit()
+            for position, value in tail.extras.items():
+                edit[shift + position] = value
+            extras = edit.finish()
+        column = Column(self.values.extended(tail.values),
+                        _or_shifted(self.present, tail.present, shift),
+                        _or_shifted(self.irregular, tail.irregular, shift),
+                        _or_shifted(self.tuples, tail.tuples, shift),
+                        _or_shifted(self.opaque, tail.opaque, shift),
                         extras)
         eq_index = self._eq_index
         if eq_index is not None:
@@ -603,6 +616,12 @@ class Column:
             extra = key[0](tail, key)
             memo[key] = bits | extra << shift if extra else bits
         return column
+
+
+def _or_shifted(bits: int, tail: int, shift: int) -> int:
+    """``bits | tail << shift``, reusing ``bits`` when ``tail`` is
+    empty: a store-sized int is not copied for nothing."""
+    return bits | tail << shift if tail else bits
 
 
 def _merge_shifted(index: dict, tail: dict, shift: int) -> dict:
@@ -679,7 +698,9 @@ class ColumnStore:
     """Shredded path columns plus a row-fallback residue for one
     snapshot.
 
-    Positions are stable row indices into :attr:`rows`; all masks are
+    Positions are stable row indices into :attr:`rows` (a
+    :class:`~repro.store.persistent.PagedList`; ``_positions`` is the
+    inverse :class:`~repro.store.persistent.PMap`); all masks are
     big-int bitsets over positions. Instances are immutable once built
     (column scan memos and the opaque-ancestor memo are the only lazy
     writes, and they are benign), so one store can serve lock-free
@@ -687,13 +708,14 @@ class ColumnStore:
     """
 
     __slots__ = ("_rows", "_positions", "_columns", "_labels", "_paths",
-                 "_shredded", "_dead", "_size", "_ordered",
+                 "_shredded", "_dead", "_size", "_sorted_prefix",
                  "_universe", "_residue", "_alive_count",
                  "_shred_depth", "_opaque_memo", "_alt_memo")
 
-    def __init__(self, rows: list[Data], positions: dict[Data, int],
+    def __init__(self, rows: PagedList, positions: PMap,
                  columns: dict[Path, Column], shredded: int, dead: int,
-                 ordered: bool, shred_depth: int = DEFAULT_SHRED_DEPTH):
+                 sorted_prefix: int,
+                 shred_depth: int = DEFAULT_SHRED_DEPTH):
         self._rows = rows
         self._positions = positions
         self._columns = columns
@@ -702,9 +724,11 @@ class ColumnStore:
         self._shredded = shredded
         self._dead = dead
         self._size = len(rows)
-        self._ordered = ordered
+        self._sorted_prefix = sorted_prefix
         self._shred_depth = shred_depth
-        alive = ((1 << self._size) - 1) & ~dead
+        alive = (1 << self._size) - 1
+        if dead:
+            alive &= ~dead
         self._universe = shredded & alive
         self._residue = alive & ~shredded
         self._alive_count = alive.bit_count()
@@ -775,10 +799,10 @@ class ColumnStore:
             # non-tuple top)
         columns = {path: builder.finish()
                    for path, builder in builders.items()}
-        positions = {datum: position
-                     for position, datum in enumerate(rows)}
-        return cls(rows, positions, columns, shredded.value(), 0,
-                   ordered, shred_depth)
+        positions = PMap({datum: position
+                          for position, datum in enumerate(rows)})
+        return cls(PagedList(rows), positions, columns, shredded.value(),
+                   0, size if ordered else 0, shred_depth)
 
     @_guarded
     def patched(self, removed: Iterable[Data],
@@ -809,45 +833,55 @@ class ColumnStore:
         by position, and sibling successors of one parent, which an
         aborted commit batch leaves behind, put different rows at the
         same new positions.
+
+        An append costs the delta, not the store. ``rows`` and every
+        column's ``values`` are paged lists
+        (:class:`~repro.store.persistent.PagedList`: one page table and
+        the last page copied), and ``_positions`` and each reached
+        column's ``extras`` are persistent maps
+        (:class:`~repro.store.persistent.PMap`: one bucket table and the
+        touched buckets copied). The parent is never written, so it
+        stays valid for its readers and for a sibling successor.
+        :attr:`sorted_prefix` carries over unchanged: appended rows land
+        past it, and tombstones do not reorder it.
         """
+        lookup = self._positions.get
         dead = self._dead
-        removal_mask = _BitBuilder(self._size)
-        for datum in removed:
-            position = self._positions.get(datum)
-            if position is not None:
-                removal_mask.set(position)
-        dead |= removal_mask.value()
+        gone = [position for position in map(lookup, removed)
+                if position is not None]
+        if gone:
+            dead |= self.positions_mask(gone)
 
         appended: list[Data] = []
-        resurrect = _BitBuilder(self._size)
+        revived: list[int] = []
         for datum in added:
-            position = self._positions.get(datum)
+            position = lookup(datum)
             if position is None:
                 appended.append(datum)
             elif dead >> position & 1:
-                resurrect.set(position)
-        dead &= ~resurrect.value()
+                revived.append(position)
+        if revived:
+            dead &= ~self.positions_mask(revived)
 
         old_size = self._size
         dead_count = dead.bit_count()
         if (dead_count > _REBUILD_DEAD
                 and 2 * dead_count > old_size + len(appended)):
-            alive = [self._rows[position]
-                     for position in bit_positions(
-                         ((1 << old_size) - 1) & ~dead)]
+            alive = self._rows.gather(
+                bit_positions(((1 << old_size) - 1) & ~dead))
             alive.extend(appended)
             alive.sort(key=_canonical_key)
             return ColumnStore.build(alive, ordered=True,
                                      shred_depth=self._shred_depth)
         if not appended:
             return ColumnStore(self._rows, self._positions, self._columns,
-                               self._shredded, dead, self._ordered,
+                               self._shredded, dead, self._sorted_prefix,
                                self._shred_depth)
 
         tail = ColumnStore.build(appended, ordered=False,
                                  shred_depth=self._shred_depth)
-        positions = dict(self._positions)
-        for offset, datum in enumerate(tail._rows):
+        positions = self._positions.edit()
+        for offset, datum in enumerate(appended):
             positions[datum] = old_size + offset
         pad = [None] * len(appended)
         columns: dict[Path, Column] = {}
@@ -855,27 +889,30 @@ class ColumnStore:
             tail_column = tail._columns.get(path)
             columns[path] = (column._padded(pad) if tail_column is None
                              else column._extended(tail_column, old_size))
-        head_pad = [None] * old_size
         for path, tail_column in tail._columns.items():
             if path in columns:
                 continue
             columns[path] = Column(
-                head_pad + tail_column.values,
+                list(chain(repeat(None, old_size), tail_column.values)),
                 tail_column.present << old_size,
                 tail_column.irregular << old_size,
                 tail_column.tuples << old_size,
                 tail_column.opaque << old_size,
                 {old_size + position: value
                  for position, value in tail_column.extras.items()})
-        return ColumnStore(self._rows + tail._rows, positions, columns,
-                           self._shredded | tail._shredded << old_size,
-                           dead, False, self._shred_depth)
+        return ColumnStore(self._rows.extended(appended),
+                           positions.finish(), columns,
+                           _or_shifted(self._shredded, tail._shredded,
+                                       old_size),
+                           dead, self._sorted_prefix, self._shred_depth)
 
     # -- introspection ---------------------------------------------------------
 
     @property
-    def rows(self) -> list[Data]:
-        """The position-indexed row list (tombstones included)."""
+    def rows(self) -> PagedList:
+        """The position-indexed rows (tombstones included), a
+        :class:`~repro.store.persistent.PagedList`: read many with
+        ``gather``."""
         return self._rows
 
     @property
@@ -915,8 +952,17 @@ class ColumnStore:
 
     @property
     def ordered(self) -> bool:
-        """Whether ascending position is canonical data order."""
-        return self._ordered
+        """Whether ascending position is canonical data order (every
+        position is in the sorted prefix)."""
+        return self._sorted_prefix == self._size
+
+    @property
+    def sorted_prefix(self) -> int:
+        """How many leading positions are in canonical data order: all
+        of them after :meth:`build` from a :class:`DataSet` (or with
+        ``ordered=True``), none otherwise, and carried unchanged by
+        :meth:`patched`, whose appended rows land past it."""
+        return self._sorted_prefix
 
     @property
     def universe_mask(self) -> int:
@@ -1118,9 +1164,10 @@ class ColumnStore:
         definite = bit_positions(true_bits)
         if not check:
             return definite
-        rows = self._rows
-        checked = [position for position in bit_positions(check)
-                   if predicate(rows[position].object)]
+        positions = bit_positions(check)
+        checked = [position for position, datum
+                   in zip(positions, self._rows.gather(positions))
+                   if predicate(datum.object)]
         if not definite:
             return checked
         if not checked:
@@ -1131,11 +1178,31 @@ class ColumnStore:
 
     def matches(self, program, predicate:
                 Callable[[SSObject], bool]) -> list[Data]:
-        """Matching rows in canonical data order (the row-scan order)."""
-        selected = [self._rows[position]
-                    for position in self.match_positions(program,
-                                                         predicate)]
-        if not self._ordered:
-            selected.sort(key=_canonical_key)
-        return selected
+        """Matching rows in canonical data order (the row-scan order).
+
+        Rows in the :attr:`sorted_prefix` come out of the ascending
+        positions already in order. Only the matched rows past it are
+        keyed and sorted, and each is bisected into the prefix rows,
+        so a patched store pays O(tail · log matches) key computations,
+        not a sort of the whole selection.
+        """
+        positions = self.match_positions(program, predicate)
+        cut = bisect_left(positions, self._sorted_prefix)
+        if cut == len(positions):
+            return self._rows.gather(positions)
+        head = self._rows.gather(positions[:cut])
+        tail = self._rows.gather(positions[cut:])
+        keyed = sorted(zip(map(_canonical_key, tail), tail),
+                       key=_first)
+        if not head:
+            return [datum for _, datum in keyed]
+        merged: list[Data] = []
+        start = 0
+        for key, datum in keyed:
+            stop = bisect_left(head, key, start, key=_canonical_key)
+            merged.extend(head[start:stop])
+            merged.append(datum)
+            start = stop
+        merged.extend(head[start:])
+        return merged
 

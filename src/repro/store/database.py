@@ -87,6 +87,7 @@ from repro.store.bulk import union_diff
 from repro.store.cache import LRUCache, QueryResultCache
 from repro.store.fsutil import fsync_directory
 from repro.store.index import KeyIndex
+from repro.store.persistent import PMap, PSet
 from repro.store.wal import (
     CommitTicket,
     GroupCommitter,
@@ -137,17 +138,23 @@ _COMPACT_BYTES = 4 << 20
 class _DBState:
     """One published generation: data plus every derived index.
 
-    Instances are immutable once published (the only post-publish write
-    is the benign lazy :meth:`dataset` memo); a single read of
-    ``Database._state`` therefore pins a complete, mutually consistent
-    view of the store.
+    Instances are immutable once published (the only post-publish
+    writes are the benign lazy :meth:`dataset` and :meth:`columns`
+    memos); a single read of ``Database._state`` therefore pins a
+    complete, mutually consistent view of the store.
+
+    ``data`` is a :class:`~repro.store.persistent.PSet` and
+    ``marker_index`` a :class:`~repro.store.persistent.PMap` of
+    ``marker -> set of data``: a successor shares all but the buckets
+    its delta touches, so publishing a generation costs the delta plus
+    one bucket table, not a copy of the store (DESIGN.md §7).
     """
 
     __slots__ = ("generation", "data", "marker_index", "key_indexes",
                  "attr_index", "_dataset", "_columns")
 
-    def __init__(self, generation: int, data: frozenset[Data],
-                 marker_index: dict[Marker, set[Data]],
+    def __init__(self, generation: int, data: PSet,
+                 marker_index: PMap,
                  key_indexes: dict[frozenset[str], KeyIndex],
                  attr_index: AttrIndex,
                  dataset: DataSet | None = None,
@@ -161,10 +168,16 @@ class _DBState:
         self._columns = columns
 
     def dataset(self) -> DataSet:
-        """The frozen :class:`DataSet`, built once per generation.
+        """The frozen :class:`DataSet`, built on first use per
+        generation.
 
-        The memo assignment races benignly: two readers may both build
-        structurally equal sets, one wins, both are correct.
+        Only the paths that need the whole set ask for it: row scans,
+        index probes, ``naive=True`` and snapshots. The planned query
+        path takes its size from ``len(data)`` and passes this bound
+        method along unresolved, like :meth:`columns`, so a columnar
+        read never pays the O(n) freeze. The memo assignment races
+        benignly: two readers may both build structurally equal sets,
+        one wins, both are correct.
         """
         cached = self._dataset
         if cached is None:
@@ -201,43 +214,46 @@ class _DBState:
                         self._columns)
 
 
-def _build_marker_index(data: Iterable[Data]) -> dict[Marker, set[Data]]:
+def _build_marker_index(data: Iterable[Data]) -> PMap:
     index: dict[Marker, set[Data]] = {}
     for datum in data:
         for marker in datum.markers:
             index.setdefault(marker, set()).add(datum)
-    return index
+    return PMap(index)
 
 
-def _patched_markers(marker_index: dict[Marker, set[Data]],
-                     removed: Iterable[Data],
-                     added: Iterable[Data]) -> dict[Marker, set[Data]]:
-    """Copy-on-write marker-index patch: the outer dict is shallow
-    copied, per-marker sets are copied only when the delta touches
-    them."""
-    index = dict(marker_index)
-    copied: set[Marker] = set()
+def _patched_markers(marker_index: PMap, removed: Iterable[Data],
+                     added: Iterable[Data]) -> PMap:
+    """Copy-on-write marker-index patch: each touched marker gets a new
+    set (published sets are never mutated), everything else is shared
+    through the :class:`PMap` edit."""
+    index = marker_index.edit()
     for datum in removed:
         for marker in datum.markers:
             entries = index.get(marker)
-            if entries is None:
+            if entries is None or datum not in entries:
                 continue
-            if marker not in copied:
-                entries = set(entries)
-                index[marker] = entries
-                copied.add(marker)
-            entries.discard(datum)
-            if not entries:
+            if len(entries) == 1:
                 del index[marker]
+            else:
+                index[marker] = entries - {datum}
     for datum in added:
         for marker in datum.markers:
             entries = index.get(marker)
-            if entries is None or marker not in copied:
-                entries = set(entries) if entries is not None else set()
-                index[marker] = entries
-                copied.add(marker)
-            entries.add(datum)
-    return index
+            index[marker] = ({datum} if entries is None
+                             else entries | {datum})
+    return index.finish()
+
+
+def _patched_data(data: PSet, removed: Iterable[Data],
+                  added: Iterable[Data]) -> PSet:
+    """``(data - removed) | added`` sharing every untouched bucket."""
+    edit = data.edit()
+    for datum in removed:
+        edit.discard(datum)
+    for datum in added:
+        edit.add(datum)
+    return edit.finish()
 
 
 class Database:
@@ -266,7 +282,7 @@ class Database:
         initial = set(self._canonical(datum) for datum in data)
         state = _DBState(
             generation=0,
-            data=frozenset(initial),
+            data=PSet(initial),
             marker_index=_build_marker_index(initial),
             key_indexes={},
             attr_index=AttrIndex(index_paths, initial),
@@ -327,8 +343,10 @@ class Database:
     def snapshot(self) -> DataSet:
         """An immutable view of the current contents.
 
-        One :class:`DataSet` is built per generation, so read-heavy
-        workloads pay the O(n) freeze once per write batch.
+        The :class:`DataSet` is built on first use and kept for the
+        generation: the first ``snapshot()`` (or row scan, index probe
+        or ``naive=True`` read) after a write pays the O(n) freeze once,
+        and columnar queries never pay it.
         """
         return self._state.dataset()
 
@@ -344,11 +362,11 @@ class Database:
     # -- internal state for compatibility helpers ----------------------------
 
     @property
-    def _data(self) -> frozenset[Data]:
+    def _data(self) -> PSet:
         return self._state.data
 
     @property
-    def _marker_index(self) -> dict[Marker, set[Data]]:
+    def _marker_index(self) -> PMap:
         return self._state.marker_index
 
     @property
@@ -425,8 +443,7 @@ class Database:
                                 if datum not in state.data)
         if not delta_removed and not delta_added:
             return (), (), None
-        new_data = frozenset(
-            (state.data - frozenset(delta_removed)) | frozenset(delta_added))
+        new_data = _patched_data(state.data, delta_removed, delta_added)
         attr_index, touched = state.attr_index.patched(
             delta_removed, delta_added)
         # The columnar shredding patches copy-on-write like every other
@@ -651,12 +668,19 @@ class Database:
             marker = Marker(marker)
         return DataSet(self._state.marker_index.get(marker, set()))
 
-    def _key_index(self, key: frozenset[str]) -> KeyIndex:
-        state = self._state
+    def _key_index(self, key: frozenset[str],
+                   pinned: _DBState | None = None) -> KeyIndex:
+        """The key index of the published state, built and published
+        on first use — or of a ``pinned`` state, which gets a private
+        build once a writer has moved past its data (no other
+        generation's index may answer for it)."""
+        state = self._state if pinned is None else pinned
         index = state.key_indexes.get(key)
         if index is not None:
             return index
         with self._lock:
+            if pinned is not None and pinned.data is not self._state.data:
+                return KeyIndex(pinned.data, key)
             # Re-check: another thread may have built it meanwhile.
             state = self._state
             index = state.key_indexes.get(key)
@@ -703,10 +727,14 @@ class Database:
                         key: Iterable[str]) -> DataSet:
         """All stored data compatible with ``datum`` wrt ``key``
         (index-accelerated)."""
+        return self._compatible_at(None, datum, key)
+
+    def _compatible_at(self, pinned: _DBState | None, datum: Data,
+                       key: Iterable[str]) -> DataSet:
         from repro.core.compatibility import compatible_data
 
         checked = check_key(key)
-        index = self._key_index(checked)
+        index = self._key_index(checked, pinned)
         return DataSet(
             candidate for candidate in index.candidates(datum)
             if compatible_data(datum, candidate, checked))
@@ -790,12 +818,13 @@ class Database:
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
-        # ``columns`` stays a bound method: the shredding is only built
-        # (lazily, once per lineage) if the planner actually picks the
-        # columnar strategy for this condition.
-        result = spec.query(state.dataset(),
-                            index=state.attr_index,
-                            columns=state.columns).run()
+        # ``dataset`` and ``columns`` stay bound methods: the frozen set
+        # is only built for a row scan or index probe, and the shredding
+        # (once per lineage) only if the planner picks the columnar
+        # strategy for this condition.
+        result = spec.query(state.dataset, index=state.attr_index,
+                            columns=state.columns,
+                            size=len(state.data)).run()
         paths, safe = self._cache_profile(spec)
         self._results.store(text, state.generation, result, paths, safe)
         return result
@@ -813,9 +842,10 @@ class Database:
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
-        result = spec.run_aggregate(state.dataset(),
+        result = spec.run_aggregate(state.dataset,
                                     index=state.attr_index,
-                                    columns=state.columns)
+                                    columns=state.columns,
+                                    size=len(state.data))
         paths, safe = self._cache_profile(spec)
         self._results.store(text, state.generation, result, paths, safe)
         return result
@@ -844,8 +874,8 @@ class Database:
         """
         state = self._state
         spec = self._parsed(text)
-        query = spec.query(state.dataset(), index=state.attr_index,
-                           columns=state.columns)
+        query = spec.query(state.dataset, index=state.attr_index,
+                           columns=state.columns, size=len(state.data))
         if spec.is_aggregate:
             return query.explain_aggregate(spec.aggregates, spec.group,
                                            analyze=analyze)
@@ -863,11 +893,11 @@ class Database:
         if left_spec.is_aggregate or right_spec.is_aggregate:
             raise QueryError("join inputs must be selection queries, "
                              "not aggregates")
-        left = left_spec.query(state.dataset(), index=state.attr_index,
-                               columns=state.columns)
-        right = right_spec.query(state.dataset(),
-                                 index=state.attr_index,
-                                 columns=state.columns)
+        size = len(state.data)
+        left = left_spec.query(state.dataset, index=state.attr_index,
+                               columns=state.columns, size=size)
+        right = right_spec.query(state.dataset, index=state.attr_index,
+                                 columns=state.columns, size=size)
         return JoinQuery(left, right, on), left_spec, right_spec
 
     def join_query(self, left_text: str, right_text: str,
@@ -1125,7 +1155,7 @@ class Database:
         an index-warm snapshot load warm through replay.
         """
         state = self._state
-        data = set(state.data)
+        data = state.data
         marker_index = state.marker_index
         attr_index = state.attr_index
         key_indexes = state.key_indexes
@@ -1144,8 +1174,7 @@ class Database:
             if not delta_removed and not delta_added:
                 continue
             changed = True
-            data.difference_update(delta_removed)
-            data.update(delta_added)
+            data = _patched_data(data, delta_removed, delta_added)
             marker_index = _patched_markers(marker_index, delta_removed,
                                             delta_added)
             attr_index, _ = attr_index.patched(delta_removed,
@@ -1157,7 +1186,7 @@ class Database:
             return
         self._state = _DBState(
             generation=generation,
-            data=frozenset(data) if changed else state.data,
+            data=data,
             marker_index=marker_index,
             key_indexes=key_indexes,
             attr_index=attr_index,
@@ -1479,7 +1508,7 @@ class Database:
                 "END frame")
         dataset_digest = decoder.hexdigest()
 
-        data = frozenset(data_order)
+        data = PSet(data_order)
         attr_index = AttrIndex()
         key_indexes: dict[frozenset[str], KeyIndex] = {}
 
@@ -1639,6 +1668,11 @@ class DatabaseView:
             marker = Marker(marker)
         return DataSet(self._state.marker_index.get(marker, set()))
 
+    def compatible_with(self, datum: Data,
+                        key: Iterable[str]) -> DataSet:
+        """All pinned data compatible with ``datum`` wrt ``key``."""
+        return self._database._compatible_at(self._state, datum, key)
+
     def query(self, text: str, *, naive: bool = False) -> DataSet:
         """Run a textual query against the pinned generation."""
         return self._database._query_at(self._state, text, naive=naive)
@@ -1647,5 +1681,5 @@ class DatabaseView:
         """The plan the pinned generation would use for a query."""
         state = self._state
         return self._database._parsed(text).query(
-            state.dataset(), index=state.attr_index,
-            columns=state.columns).explain(analyze=analyze)
+            state.dataset, index=state.attr_index, columns=state.columns,
+            size=len(state.data)).explain(analyze=analyze)

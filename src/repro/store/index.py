@@ -29,6 +29,7 @@ from typing import AbstractSet, Hashable, Iterable
 from repro.core.intern import is_interned as _is_interned
 from repro.core.intern import on_clear as _on_clear
 from repro.core.data import Data
+from repro.store.persistent import PMap
 from repro.core.objects import (
     BOTTOM,
     Atom,
@@ -118,22 +119,32 @@ class KeyIndex:
     """Hash index of a data collection by key signature.
 
     The index is *incremental*: :meth:`add` and :meth:`remove` maintain
-    it one datum at a time, so a long-lived accumulator (a
-    :class:`~repro.store.database.Database`, or the bulk-merge fold in
-    :mod:`repro.store.bulk`) is indexed once and updated in place
-    instead of being rebuilt after every change.
+    it one datum at a time, so a long-lived accumulator (the bulk-merge
+    fold in :mod:`repro.store.bulk`) is indexed once and updated instead
+    of being rebuilt after every change, and :meth:`patched` derives a
+    successor for a published :class:`~repro.store.database.Database`
+    generation. ``buckets`` is a :class:`~repro.store.persistent.PMap`
+    of ``signature -> list of data``; published bucket lists are never
+    mutated.
     """
 
     def __init__(self, data: Iterable[Data] = (),
                  key: AbstractSet[str] = frozenset()):
         self._key = frozenset(key)
-        self.buckets: dict[Hashable, list[Data]] = {}
+        buckets: dict[Hashable, list[Data]] = {}
         #: Data requiring pairwise compatibility checks.
         self.scan_list: list[Data] = []
         #: Data that can never pair with anything.
         self.never_list: list[Data] = []
         for datum in data:
-            self.add(datum)
+            classified = signature(datum, self._key)
+            if classified == NEVER_MATCHES:
+                self.never_list.append(datum)
+            elif classified == UNINDEXABLE:
+                self.scan_list.append(datum)
+            else:
+                buckets.setdefault(classified, []).append(datum)
+        self.buckets = PMap(buckets)
 
     @property
     def key(self) -> frozenset[str]:
@@ -154,7 +165,7 @@ class KeyIndex:
         digest before restoring.
         """
         index = cls((), key)
-        index.buckets = buckets
+        index.buckets = PMap(buckets)
         index.scan_list = scan_list
         index.never_list = never_list
         return index
@@ -167,7 +178,9 @@ class KeyIndex:
         elif classified == UNINDEXABLE:
             self.scan_list.append(datum)
         else:
-            self.buckets.setdefault(classified, []).append(datum)
+            buckets = self.buckets.edit()
+            buckets[classified] = buckets.get(classified, []) + [datum]
+            self.buckets = buckets.finish()
 
     def remove(self, datum: Data) -> bool:
         """Remove one datum (by equality); ``False`` when absent.
@@ -183,14 +196,16 @@ class KeyIndex:
             target = self.scan_list
         else:
             bucket = self.buckets.get(classified)
-            if bucket is None:
+            if bucket is None or datum not in bucket:
                 return False
-            try:
+            buckets = self.buckets.edit()
+            if len(bucket) == 1:
+                del buckets[classified]
+            else:
+                bucket = list(bucket)
                 bucket.remove(datum)
-            except ValueError:
-                return False
-            if not bucket:
-                del self.buckets[classified]
+                buckets[classified] = bucket
+            self.buckets = buckets.finish()
             return True
         try:
             target.remove(datum)
@@ -202,15 +217,18 @@ class KeyIndex:
                 added: Iterable[Data]) -> "KeyIndex":
         """A new index reflecting a batch delta; ``self`` is untouched.
 
-        Copy-on-write: the buckets map is shallow-copied and each
-        bucket (or side list) is copied at most once, the first time the
-        delta touches it — untouched buckets stay shared with the old
-        index. Store layers that publish immutable state records use
-        this instead of the in-place :meth:`add`/:meth:`remove`.
+        Copy-on-write: the buckets map is edited through
+        :meth:`PMap.edit <repro.store.persistent.PMap.edit>`, which
+        copies one bucket table and the hash buckets the delta touches,
+        and each signature's list (or side list) is copied at most
+        once, the first time the delta touches it. Everything else
+        stays shared with the old index, so the cost follows the delta,
+        not the store. Store layers that publish immutable state
+        records use this instead of :meth:`add`/:meth:`remove`.
         """
         index = KeyIndex.__new__(KeyIndex)
         index._key = self._key
-        index.buckets = dict(self.buckets)
+        buckets = self.buckets.edit()
         index.scan_list = self.scan_list
         index.never_list = self.never_list
         copied: set[Hashable] = set()
@@ -235,19 +253,19 @@ class KeyIndex:
                 except ValueError:
                     pass
             else:
-                bucket = index.buckets.get(classified)
+                bucket = buckets.get(classified)
                 if bucket is None:
                     continue
                 if classified not in copied:
                     bucket = list(bucket)
-                    index.buckets[classified] = bucket
+                    buckets[classified] = bucket
                     copied.add(classified)
                 try:
                     bucket.remove(datum)
                 except ValueError:
                     continue
                 if not bucket:
-                    del index.buckets[classified]
+                    del buckets[classified]
 
         for datum in added:
             classified = signature(datum, self._key)
@@ -262,12 +280,13 @@ class KeyIndex:
                     copied_scan = True
                 index.scan_list.append(datum)
             else:
-                bucket = index.buckets.get(classified)
+                bucket = buckets.get(classified)
                 if bucket is None or classified not in copied:
                     bucket = list(bucket) if bucket is not None else []
-                    index.buckets[classified] = bucket
+                    buckets[classified] = bucket
                     copied.add(classified)
                 bucket.append(datum)
+        index.buckets = buckets.finish()
         return index
 
     def candidates(self, datum: Data) -> list[Data]:

@@ -113,9 +113,54 @@ class TestAggregateMultiplicity:
         assert result == query.aggregate(**aggs, naive=True)
 
 
+class TestUncertainWidening:
+    """A row with an uncertain group membership may contribute nothing;
+    when adding that alternative passes the cap, the row still folds."""
+
+    def test_widening_past_the_cap_keeps_the_row(self):
+        # 3 * 2 * 2 * 2 = 24 alternatives: exactly the cap, so adding
+        # "contributes nothing" overflows it.
+        data = dataset(("W", tup(k=orv("a", "b"),
+                                 year=cset(orv(1, 2, 3), orv(10, 20),
+                                           orv(100, 200),
+                                           orv(1000, 2000)))))
+        query = Query(data).with_columns(ColumnStore.build(data))
+        aggs = dict(c=Count("year"), hi=Max("year"))
+        result = query.group_aggregate("k", **aggs)
+        assert {str(key): {name: repr(value)
+                           for name, value in outcome.items()}
+                for key, outcome in result.items()} == {
+            '"a"': {"c": "[0, 1]", "hi": "[1, 2000]"},
+            '"b"': {"c": "[0, 1]", "hi": "[1, 2000]"},
+        }
+        assert result == query.group_aggregate("k", **aggs, naive=True)
+
+
 class TestAggregateCost:
     """The kernel resolves each distinct irregular value once per fold,
     not once per row that holds it."""
+
+    def test_steps_parse_once_per_spec(self, monkeypatch):
+        from repro.query import aggregates
+
+        calls = []
+        original = aggregates.parse_path
+        monkeypatch.setattr(aggregates, "parse_path",
+                            lambda path: calls.append(path)
+                            or original(path))
+        counts = []
+        for size in (200, 2000):
+            data = dataset(*[(f"G{i:05d}",
+                              tup(k=orv(f"a{i % 3}", f"b{i % 3}"),
+                                  year=1990 + i % 7))
+                             for i in range(size)])
+            query = Query(data).with_columns(ColumnStore.build(data))
+            calls.clear()
+            result = query.group_aggregate("k", **SHARED_AGGS)
+            counts.append(len(calls))
+            assert result == query.group_aggregate("k", **SHARED_AGGS,
+                                                   naive=True)
+        assert counts[0] == counts[1]
 
     def test_shared_values_resolve_per_value(self, monkeypatch):
         from repro.core.intern import is_interned

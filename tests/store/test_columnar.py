@@ -431,6 +431,24 @@ class TestPatched:
                  .with_columns(patched))
         assert query.rows() == query.rows(naive=True)
 
+    def test_sorted_prefix_carries_and_merges_appends(self):
+        data = list(library())
+        store = ColumnStore.build(DataSet(data))
+        assert store.sorted_prefix == store.size
+        # One append sorts before every prefix row, one after, one
+        # between; a removal tombstones a prefix row.
+        extra = [flat("a0", type="Article", year=1960),
+                 flat("zz", type="Article", year=1961),
+                 flat("b0", type="Article", year=1962)]
+        patched = store.patched(data[:1], extra)
+        assert patched.sorted_prefix == store.size
+        assert not patched.ordered
+        combined = DataSet(data[1:] + extra)
+        for condition in (Exists("type"), Ge("year", 1961)):
+            query = (Query(combined).where(condition)
+                     .with_columns(patched))
+            assert query.rows() == query.rows(naive=True)
+
     def test_drift_rebuild_compacts(self):
         data = [flat(f"m{i:04d}", type="T", year=1900 + i)
                 for i in range(200)]
@@ -440,7 +458,7 @@ class TestPatched:
         # store rebuilds compactly with only the 50 live rows.
         assert patched.size == 50
         assert patched.alive_count == 50
-        assert patched.ordered
+        assert patched.ordered and patched.sorted_prefix == 50
         query_data = DataSet(data[150:])
         query = (Query(query_data).where(Ge("year", 1900))
                  .with_columns(patched))
