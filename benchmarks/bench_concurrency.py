@@ -4,10 +4,10 @@
 The workload is one ``workloads.bibgen`` source of 10k entries loaded
 into a :class:`~repro.store.database.Database`. Two phases:
 
-* ``cached_read`` — a mixed batch of textual queries (index probes plus
-  residual scans) runs in a loop against two databases built from the
-  same snapshot, one with the epoch-invalidated result cache and one
-  with the cache disabled. The headline ``cached_read_speedup`` is
+* ``cached_read`` — a mixed batch of textual queries (equality, range,
+  substring and negated leaves) runs in a loop against two databases
+  built from the same snapshot, one with the epoch-invalidated result
+  cache and one with the cache disabled. The headline ``cached_read_speedup`` is
   uncached seconds / cached seconds; every cached result is checked
   against a fresh ``naive=True`` scan at the same generation.
 * ``concurrent_readers`` — reader threads hammer the cached queries
@@ -49,11 +49,11 @@ from repro.workloads import (  # noqa: E402
 #: Full-run floor: cached re-reads must beat uncached execution by this.
 MIN_CACHED_SPEEDUP = 5.0
 
-#: Attribute paths the cached/indexed database indexes.
+#: Attribute paths whose column indexes both databases build up front.
 INDEX_PATHS = ("type", "year")
 
-#: The cached query mix: index probes plus residual scans, all of which
-#: profile as *positive* (re-taggable) except the final negated one.
+#: The cached query mix: all of it profiles as *positive*
+#: (re-taggable) except the final negated query.
 CACHED_QUERIES = (
     'select * where type = "Article" and year >= 1990',
     'select title where title contains "Revisited"',

@@ -1,24 +1,26 @@
 #!/usr/bin/env python
-"""Benchmark: the indexed query planner vs the definitional full scan.
+"""Benchmark: the query planner vs the definitional full scan.
 
 The workload is one ``workloads.bibgen`` source of 10k entries loaded
-into a :class:`~repro.store.database.Database` with attribute indexes on
-``type``, ``title``, ``year`` and ``author``. Three query phases run
-through the textual query API, every query twice — once planned
-(inverted-index probes + compiled residual + order/limit pushdown) and
+into a :class:`~repro.store.database.Database` whose column indexes on
+``type``, ``title``, ``year`` and ``author`` are built up front
+(``index_paths``). Three query phases run through the textual query
+API, every query twice — once planned (columnar bitset scan over the
+column eq-index and possible-value index + order/limit pushdown) and
 once with ``naive=True`` (the untouched full scan over
 ``Condition.matches`` followed by sort and slice):
 
 * ``point_lookup`` — equality selection on the unique ``title`` key,
   one query per sampled title (the indexed-selection headline number);
-* ``conjunctive`` — ``type``/``year`` conjunctions where the planner
-  intersects two posting lists and filters a residual;
+* ``conjunctive`` — ``type``/``year`` conjunctions with a ``contains``
+  leaf, intersected as bitsets;
 * ``order_limit`` — a selective condition with ``order by``/``limit``
   pushed down to a bounded heap selection.
 
 The plan-vs-scan oracle is enforced on **every** run, full and smoke:
 each executed query's planned result must equal its naive result, and
-the point-lookup plans must actually probe the index. The full run
+the sampled point-lookup and conjunctive plans must be ``columnar`` —
+a silent fall-back to the row scan fails the run. The full run
 additionally requires the planned point lookups to beat the scan by at
 least ``MIN_SPEEDUP``×.
 
@@ -50,7 +52,7 @@ from repro.workloads import (  # noqa: E402
 #: scan by at least this factor on the full workload.
 MIN_SPEEDUP = 5.0
 
-#: Attribute paths the database indexes for the planner.
+#: Attribute paths whose column indexes the database builds up front.
 INDEX_PATHS = ("type", "title", "year", "author")
 
 
@@ -118,8 +120,8 @@ def run(entries: int, lookups: int, seed: int = 11) -> dict:
         "order_limit": _phase(database, order_texts),
     }
 
-    plans_probe_index = all(
-        database.explain(text).strategy == "index"
+    plans_columnar = all(
+        database.explain(text).strategy == "columnar"
         for text in point_texts[:5] + conjunctive_texts[:5]
     )
     return {
@@ -130,7 +132,7 @@ def run(entries: int, lookups: int, seed: int = 11) -> dict:
             "index_paths": list(INDEX_PATHS),
         },
         "phases": phases,
-        "plans_probe_index": plans_probe_index,
+        "plans_columnar": plans_columnar,
         "oracle_equal": all(not phase["mismatches"]
                             for phase in phases.values()),
     }
@@ -162,9 +164,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(bad)} quer{'y' if len(bad) == 1 else 'ies'}",
               file=sys.stderr)
         return 1
-    if not report["plans_probe_index"]:
-        print("FAIL: expected index-strategy plans for the lookup "
-              "queries, got scans", file=sys.stderr)
+    if not report["plans_columnar"]:
+        print("FAIL: expected columnar plans for the lookup queries, "
+              "got row scans", file=sys.stderr)
         return 1
     speedup = report["phases"]["point_lookup"]["speedup"]
     if not args.smoke and (speedup is None or speedup < MIN_SPEEDUP):

@@ -2,17 +2,17 @@
 """Benchmark: binary snapshot codec vs the tagged-JSON persistence path.
 
 The workload is one ``workloads.bibgen`` source of 10k entries loaded
-into a :class:`~repro.store.database.Database` with attribute indexes
-on ``type``, ``title``, ``year`` and ``author`` and a warmed
-``{type, title}`` key index. Three phases compare the two on-disk
-formats:
+into a :class:`~repro.store.database.Database` with column indexes
+built up front on ``type``, ``title``, ``year`` and ``author`` (they
+are not persisted) and a warmed ``{type, title}`` key index. Three
+phases compare the two on-disk formats:
 
 * ``save`` — ``Database.save`` to JSON vs binary (same fsync path);
 * ``cold_load`` — ``Database.load`` timed inside a fresh interpreter
   per run (a service restart *is* a new process), so both formats pay
   full reconstruction from an empty intern pool; the binary path
-  additionally restores the persisted key/attribute indexes instead of
-  rebuilding;
+  additionally restores the persisted key index instead of
+  rebuilding it;
 * ``load_query`` — cold load plus the first point query, the
   "time to first answer" a service restart actually cares about.
 
@@ -23,9 +23,11 @@ machine cannot masquerade as a codec regression.
 Equality oracles run on **every** run, full and smoke:
 
 * the binary-loaded database equals the JSON-loaded one (same data);
-* the index-warm binary load answers queries identically to a database
-  whose indexes are rebuilt from scratch, and its restored postings are
-  structurally identical to the rebuilt ones.
+* the binary load restores the ``{type, title}`` key index without
+  computing a single key signature, and the restored index (buckets,
+  scan list, never list) equals one rebuilt from the data;
+* the binary-loaded database answers queries identically to a freshly
+  built one and to the naive scan.
 
 The full run additionally requires binary save and cold load to beat
 JSON by at least ``MIN_SPEEDUP``× each.
@@ -52,6 +54,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, _SRC)
 
 from repro.core.intern import clear_pool  # noqa: E402
+from repro.store import index as key_index  # noqa: E402
 from repro.store.database import Database  # noqa: E402
 from repro.workloads import (  # noqa: E402
     BibWorkloadSpec,
@@ -62,7 +65,7 @@ from repro.workloads import (  # noqa: E402
 #: JSON path by at least this factor on the full workload.
 MIN_SPEEDUP = 3.0
 
-#: Attribute paths the database indexes (and the snapshot persists).
+#: Attribute paths whose column indexes the database builds up front.
 INDEX_PATHS = ("type", "title", "year", "author")
 
 #: The key whose index is warmed before saving.
@@ -117,6 +120,31 @@ def _interleaved(actions, *, before=None):
     return bests, results
 
 
+def _signature_calls(action):
+    """``(action(), key signatures it computed)``: a load that restores
+    the persisted key index computes none, a rebuild one per datum."""
+    original = key_index.signature
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    key_index.signature = counting
+    try:
+        result = action()
+    finally:
+        key_index.signature = original
+    return result, calls
+
+
+def _key_index_contents(index) -> tuple:
+    """Buckets, scan list and never list, independent of list order."""
+    return ({sig: frozenset(bucket) for sig, bucket in index.buckets.items()},
+            frozenset(index.scan_list), frozenset(index.never_list))
+
+
 def _build_database(entries: int, seed: int) -> Database:
     workload = generate_workload(BibWorkloadSpec(
         entries=entries, sources=1, overlap=0.0, null_rate=0.1,
@@ -167,7 +195,8 @@ def run(entries: int, seed: int = 19) -> dict:
         _cold()
         from_json = Database.load(json_path)
         _cold()
-        from_binary = Database.load(binary_path)
+        from_binary, load_signatures = _signature_calls(
+            lambda: Database.load(binary_path))
 
         def _json_load_query():
             fresh = Database.load(json_path)
@@ -185,24 +214,23 @@ def run(entries: int, seed: int = 19) -> dict:
             "binary_bytes": binary_path.stat().st_size,
         }
 
-    # Oracles (every run): same data both ways, and the index-warm
-    # load must be indistinguishable from a rebuilt-index database.
+    # Oracles (every run): same data both ways, the key index restored
+    # (not rebuilt) and equal to a rebuild, and the same answers as a
+    # freshly built database.
     datasets_equal = from_binary.snapshot() == from_json.snapshot() \
         == database.snapshot()
+    restored = from_binary._key_indexes.get(KEY)
+    index_warm = restored is not None and load_signatures == 0
+    indexes_equal = restored is not None and (
+        _key_index_contents(restored)
+        == _key_index_contents(key_index.KeyIndex(from_binary._data, KEY)))
     rebuilt = Database(from_binary.snapshot(), index_paths=INDEX_PATHS)
-    warm_entries = {steps: (postings, exists) for steps, postings, exists
-                    in from_binary._attr_index.entries()}
-    rebuilt_entries = {steps: (postings, exists)
-                       for steps, postings, exists
-                       in rebuilt._attr_index.entries()}
-    indexes_equal = warm_entries == rebuilt_entries
     queries_equal = all(
         from_binary.query(text) == rebuilt.query(text)
         == from_binary.query(text, naive=True)
         for text in (query_text,
                      'select * where type = "Article" and year >= 1990',
                      'select * where exists author'))
-    index_warm = from_binary.explain(query_text).strategy == "index"
 
     return {
         "benchmark": "snapshot",
@@ -263,16 +291,16 @@ def main(argv: list[str] | None = None) -> int:
               "JSON-loaded one", file=sys.stderr)
         return 1
     if not report["indexes_equal"]:
-        print("FAIL: restored indexes differ from rebuilt indexes",
+        print("FAIL: restored key index differs from a rebuilt one",
               file=sys.stderr)
         return 1
     if not report["queries_equal"]:
-        print("FAIL: index-warm load answers queries differently",
-              file=sys.stderr)
+        print("FAIL: binary-loaded database answers queries "
+              "differently", file=sys.stderr)
         return 1
     if not report["index_warm"]:
-        print("FAIL: binary load did not restore an index-strategy "
-              "plan", file=sys.stderr)
+        print("FAIL: binary load did not restore the persisted key "
+              "index", file=sys.stderr)
         return 1
     if not args.smoke:
         for ratio in ("save_speedup", "cold_load_speedup"):

@@ -16,8 +16,8 @@ Commands:
 * ``describe FILE`` — inferred schema and merge-key advice;
 * ``rules PROGRAM FILE`` — run a rule program over a data file;
 * ``snapshot save|load|convert`` — persist a database snapshot
-  (``--format json|binary``; binary snapshots carry the key/attribute
-  indexes and load index-warm);
+  (``--format json|binary``; binary snapshots carry the key indexes
+  and load key-index-warm);
 * ``wal info|compact|recover`` — inspect a durable store's write-ahead
   log, fold it into the snapshot, or emit the contents as of any
   logged generation (point-in-time recovery);
@@ -189,8 +189,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.on and not args.join:
         raise ReproError("--on only applies with --join")
     # Every form runs through one Database, so a plan sees exactly what
-    # execution would: the attribute index and the columnar shredding.
-    with Database(dataset, index_paths=args.index or ()) as database:
+    # execution would: the columnar shredding and its column indexes.
+    with Database(dataset) as database:
         if args.join:
             # Two selections of the same store joined on key path(s);
             # explain renders the JoinPlan (build/probe, est vs actual).
@@ -273,7 +273,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     from repro.store.database import Database
 
     dataset = _load(args.file, args.from_format)
-    database = Database(dataset, index_paths=tuple(args.index or ()))
+    database = Database(dataset)
     database.save(args.snapshot, format=args.format)
     print(f"# saved {len(database)} entries to {args.snapshot} "
           f"({args.format})", file=sys.stderr)
@@ -428,9 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--from", dest="from_format", choices=_FORMATS)
     query.add_argument("--to", choices=_FORMATS, default="text")
     query.add_argument("-o", "--output")
-    query.add_argument("--index", action="append", metavar="PATH",
-                       help="build an attribute index over PATH before "
-                            "querying (repeatable)")
     query.add_argument("--explain", action="store_true",
                        help="print the physical plan (strategy, "
                             "estimated and actual rows) instead of "
@@ -492,10 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     snap_save.add_argument("--format", choices=("json", "binary"),
                            default="binary",
                            help="snapshot format (default: binary)")
-    snap_save.add_argument("--index", action="append", metavar="PATH",
-                           help="attribute path to index before saving "
-                                "(repeatable; binary snapshots persist "
-                                "the index)")
     snap_save.set_defaults(handler=_cmd_snapshot_save)
 
     snap_load = snapshot_commands.add_parser(

@@ -58,7 +58,6 @@ from repro.query.planner import (
     AggregatePlan,
     JoinPlan,
     Plan,
-    Probe,
     explain_plan,
     select_data,
 )
@@ -71,6 +70,6 @@ __all__ = [
     "parse_query", "run_query", "parse_query_spec", "QuerySpec",
     "parse_path", "evaluate_path", "iter_path", "path_exists",
     "compile_condition", "compile_columnar", "invalidation_profile",
-    "select_data", "explain_plan", "Plan", "Probe",
+    "select_data", "explain_plan", "Plan",
     "JoinPlan", "AggregatePlan",
 ]

@@ -239,17 +239,17 @@ class Query:
 
     Execution routes through the planner
     (:mod:`repro.query.planner`): the condition is compiled once, and
-    when an :class:`~repro.store.attr_index.AttrIndex` over the queried
-    data is attached (``index=`` or :meth:`with_index`), indexable
-    conjuncts probe it instead of scanning. ``naive=True`` on the
-    executing methods bypasses all of that and runs the definitional
-    full scan — the oracle the planned path must agree with.
+    when a column store over the queried data is attached
+    (``columns=`` or :meth:`with_columns`), conditions with a bitset
+    form run as a columnar scan. ``naive=True`` on the executing
+    methods bypasses all of that and runs the definitional full scan —
+    the oracle the planned path must agree with.
 
     ``dataset`` may also be a zero-argument callable producing the
     :class:`DataSet` (what :class:`~repro.store.database.Database`
     passes, with ``size=`` its row count): it is called only by the
-    paths that walk the whole set — row scans, index probes and
-    ``naive=True`` — so a columnar read never builds it.
+    paths that walk the whole set — row scans and ``naive=True`` — so
+    a columnar read never builds it.
     """
 
     def __init__(self, dataset: "DataSet | Callable[[], DataSet]",
@@ -257,7 +257,6 @@ class Query:
                  projection: tuple[str, ...] | None = None,
                  order: tuple[tuple[str, ...], bool] | None = None,
                  limit_count: int | None = None, *,
-                 index: "object | None" = None,
                  columns: "object | None" = None,
                  size: int | None = None):
         self._dataset = dataset
@@ -265,15 +264,14 @@ class Query:
         self._projection = projection
         self._order = order
         self._limit = limit_count
-        self._index = index
         self._columns = columns
         self._size = size
 
     def _derive(self, **changes) -> "Query":
         state = dict(dataset=self._dataset, condition=self._condition,
                      projection=self._projection, order=self._order,
-                     limit_count=self._limit, index=self._index,
-                     columns=self._columns, size=self._size)
+                     limit_count=self._limit, columns=self._columns,
+                     size=self._size)
         state.update(changes)
         return Query(**state)
 
@@ -300,15 +298,6 @@ class Query:
         ignored and the row scan runs instead.
         """
         return self._derive(columns=columns)
-
-    def with_index(self, index: "object | None") -> "Query":
-        """Attach an attribute index over the queried data set.
-
-        The index must cover exactly the data being queried (a
-        :class:`~repro.store.database.Database` maintains one and
-        attaches it automatically via :meth:`Database.query`).
-        """
-        return self._derive(index=index)
 
     def where(self, condition: Condition) -> "Query":
         """Add a condition (conjoined with any existing one)."""
@@ -343,7 +332,7 @@ class Query:
 
         Returns a :class:`repro.query.planner.Plan`; ``.describe()``
         renders it as text, including the chosen physical strategy
-        (``index`` / ``columnar`` / ``row-scan``) and the planner's
+        (``columnar`` / ``row-scan``) and the planner's
         estimated row count. ``analyze=True`` also *executes* the plan
         and fills in ``actual_rows``.
         """
@@ -351,9 +340,8 @@ class Query:
 
         from repro.query.planner import explain_plan
 
-        plan = explain_plan(self._condition, self._index, self._order,
-                            self._limit, columns=self._columns,
-                            size=self._count())
+        plan = explain_plan(self._condition, self._order, self._limit,
+                            columns=self._columns, size=self._count())
         if analyze:
             plan = dataclasses.replace(
                 plan, actual_rows=len(self._selected()))
@@ -364,9 +352,9 @@ class Query:
             return self._selected_naive()
         from repro.query.planner import select_data
 
-        return select_data(self._dataset, self._condition, self._index,
-                           self._order, self._limit,
-                           columns=self._columns, size=self._size)
+        return select_data(self._dataset, self._condition, self._order,
+                           self._limit, columns=self._columns,
+                           size=self._size)
 
     def _selected_naive(self) -> list[Data]:
         # The definitional full scan: the oracle for the planned path.
@@ -529,8 +517,7 @@ class Query:
         from repro.query.planner import explain_plan, plan_aggregate
 
         specs = _normalize(aggs)
-        source = explain_plan(self._condition, self._index,
-                              columns=self._columns,
+        source = explain_plan(self._condition, columns=self._columns,
                               size=self._count())
         store = None
         if self._order is None and self._limit is None:

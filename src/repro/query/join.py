@@ -402,10 +402,10 @@ class JoinQuery:
         build = choose_build_side(len(left.rows), len(right.rows))
         plan = plan_join(
             self._on,
-            explain_plan(self._left._condition, self._left._index,
+            explain_plan(self._left._condition,
                          columns=self._left._columns,
                          size=self._left._count()),
-            explain_plan(self._right._condition, self._right._index,
+            explain_plan(self._right._condition,
                          columns=self._right._columns,
                          size=self._right._count()),
             self._left._count(), self._right._count(),

@@ -302,11 +302,11 @@ def _unescape(raw: str) -> str:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A parsed textual query, reusable across data sets and indexes.
+    """A parsed textual query, reusable across data sets.
 
     The condition tree is shared between uses, so per-condition memos
-    (parsed steps, compiled predicate, planner conjunct split) persist —
-    a cached spec re-plans and re-executes without re-walking anything.
+    (parsed steps, compiled predicate and bitset program) persist — a
+    cached spec re-plans and re-executes without re-walking anything.
     """
 
     projection: tuple[str, ...] | None
@@ -322,13 +322,12 @@ class QuerySpec:
         ``{label: outcome}`` dict, not a data set)."""
         return self.aggregates is not None
 
-    def query(self, dataset: DataSet, index: object | None = None,
-              columns: object | None = None, *,
+    def query(self, dataset: DataSet, columns: object | None = None, *,
               size: int | None = None) -> Query:
-        """Bind the spec to a data set (and optional attribute index
-        and columnar shredding). ``dataset`` may be a lazy callable
-        with ``size`` its row count (see :class:`Query`)."""
-        query = Query(dataset, index=index, columns=columns, size=size)
+        """Bind the spec to a data set (and optional columnar
+        shredding). ``dataset`` may be a lazy callable with ``size``
+        its row count (see :class:`Query`)."""
+        query = Query(dataset, columns=columns, size=size)
         if self.condition is not None:
             query = query.where(self.condition)
         if self.order is not None:
@@ -340,7 +339,7 @@ class QuerySpec:
             query = query.select(*self.projection)
         return query
 
-    def run_aggregate(self, dataset: DataSet, index: object | None = None,
+    def run_aggregate(self, dataset: DataSet,
                       columns: object | None = None, *,
                       naive: bool = False,
                       size: int | None = None) -> dict:
@@ -348,7 +347,7 @@ class QuerySpec:
         key: {label: outcome}}`` with a ``group by`` clause."""
         if self.aggregates is None:
             raise QueryError("not an aggregate query")
-        query = self.query(dataset, index, columns, size=size)
+        query = self.query(dataset, columns, size=size)
         if self.group is not None:
             return query.group_aggregate(self.group, *self.aggregates,
                                          naive=naive)

@@ -1,39 +1,30 @@
-"""A planned, index-backed execution engine for queries.
+"""The planned execution engine for queries.
 
 The naive read path walks the whole data set and evaluates the full
-condition against every datum. This module plans instead:
+condition against every datum. This module plans instead, with one of
+two strategies:
 
-1. the condition is rewritten to negation normal form and its top-level
-   ``And`` spine is split into conjuncts
-   (:func:`repro.query.compile.conjuncts`);
-2. conjuncts an :class:`~repro.store.attr_index.AttrIndex` can answer
-   *exactly* — ``Eq``/``Exists``/``Contains`` on indexed paths, whose
-   existential semantics the index mirrors — become **probes**;
-3. probe candidate sets intersect starting from the most selective
-   (smallest) one, short-circuiting on empty;
-4. the remaining conjuncts form the **residual**, compiled once
-   (:func:`~repro.query.compile.compile_condition`) and run over the
-   candidates only;
-5. ``order_by`` + ``limit`` push down to ``heapq.nsmallest`` /
-   ``nlargest`` so a top-k query never sorts the full match set.
+1. if the snapshot has a columnar shredding
+   (:class:`repro.store.columnar.ColumnStore`) and the condition
+   compiles to a bitset program
+   (:func:`~repro.query.compile.compile_columnar`), the **columnar
+   scan** answers the shredded rows with bitset algebra over the column
+   eq-index and possible-value index, and row-evaluates only the
+   maybe-sidecar and residue rows;
+2. otherwise the **row scan** — the compiled full scan
+   (:func:`~repro.query.compile.compile_condition`) — runs; it is still
+   faster than ``matches``, and always available.
 
-When nothing is indexable (no index, an ``Or`` at the top, negated
-leaves) the plan picks between two scan strategies. If the snapshot has
-a columnar shredding (:class:`repro.store.columnar.ColumnStore`) and
-the condition compiles to a bitset program
-(:func:`~repro.query.compile.compile_columnar`), the **columnar scan**
-answers the shredded rows with bitset algebra and row-evaluates only
-the maybe-sidecar and residue rows. Otherwise the **row scan** — the
-compiled full scan — runs; it is still faster than ``matches``, and
-always available. Results are *identical* to the naive scan: probes are
-exact, the residual preserves the non-probe conjuncts, columnar
-definite sets are exact by the shred invariants, and ordering
-reproduces the stable-sort/missing-last semantics of
-``Query._selected_naive`` tie for tie. The plan-vs-scan equality oracle
-(tests and ``benchmarks/bench_query_planner.py``) asserts exactly that.
+``order_by`` + ``limit`` push down to ``heapq.nsmallest`` / ``nlargest``
+so a top-k query never sorts the full match set.
 
-The conjunct split is memoized on the (immutable) condition per covered
-path set, so a cached parsed query re-plans in O(1).
+Results are *identical* to the naive scan: columnar definite sets are
+exact by the shred invariants (every condition leaf is existential over
+the values its path reaches, and the column indexes key exactly those
+values), and ordering reproduces the stable-sort/missing-last semantics
+of ``Query._selected_naive`` tie for tie. The plan-vs-scan equality
+oracle (tests and ``benchmarks/bench_query_planner.py``) asserts
+exactly that.
 """
 
 from __future__ import annotations
@@ -43,48 +34,24 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.data import Data, DataSet
-from repro.core.objects import Atom
 from repro.core.order import structural_key
-from repro.query.ast import And, Condition, Contains, Eq, Exists
-from repro.query.compile import (
-    compile_columnar,
-    compile_condition,
-    conjuncts,
-    nnf,
-)
+from repro.query.ast import Condition
+from repro.query.compile import compile_columnar, compile_condition
 from repro.query.paths import evaluate_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.attr_index import AttrIndex
     from repro.store.columnar import ColumnStore
 
-__all__ = ["Plan", "Probe", "JoinPlan", "AggregatePlan", "select_data",
+__all__ = ["Plan", "JoinPlan", "AggregatePlan", "select_data",
            "explain_plan", "plan_join", "plan_aggregate"]
-
-
-@dataclass(frozen=True)
-class Probe:
-    """One index lookup the plan performs."""
-
-    path: str
-    op: str               # "=", "exists" or "contains"
-    value: str | None     # repr of the probed value, None for exists
-    selectivity: int | None = None   # candidate count, when known
-
-    def describe(self) -> str:
-        detail = f" {self.value}" if self.value is not None else ""
-        count = (f" (~{self.selectivity} candidates)"
-                 if self.selectivity is not None else "")
-        return f"probe {self.path} {self.op}{detail}{count}"
 
 
 @dataclass(frozen=True)
 class Plan:
     """The strategy :func:`select_data` chose, for ``Query.explain()``."""
 
-    strategy: str                    # "index", "columnar" or "row-scan"
-    probes: tuple[Probe, ...] = ()
-    residual: str | None = None      # repr of the post-probe condition
+    strategy: str                    # "columnar" or "row-scan"
+    residual: str | None = None      # repr of the row-checked condition
     order_pushdown: bool = False     # heapq top-k instead of full sort
     reason: str = ""
     estimated_rows: int | None = None   # planner's upper-bound estimate
@@ -95,7 +62,6 @@ class Plan:
 
     def __post_init__(self):
         lines = [f"{self.strategy}: {self.reason}"]
-        lines.extend(probe.describe() for probe in self.probes)
         if self.residual is not None:
             lines.append(f"residual filter: {self.residual}")
         if self.order_pushdown:
@@ -112,61 +78,6 @@ class Plan:
 
     def describe(self) -> str:
         return "\n".join(self.lines)
-
-
-def _probe_kind(conjunct: Condition,
-                paths: frozenset[tuple[str, ...]]) -> str | None:
-    """Classify a conjunct the index can answer exactly, else ``None``."""
-    if isinstance(conjunct, Eq) and conjunct.steps in paths:
-        return "="
-    if isinstance(conjunct, Exists) and conjunct.steps in paths:
-        return "exists"
-    if (isinstance(conjunct, Contains) and conjunct.steps in paths
-            and isinstance(conjunct.target, Atom)
-            and isinstance(conjunct.target.value, str)):
-        return "contains"
-    return None
-
-
-def _split(condition: Condition, paths: frozenset[tuple[str, ...]],
-           ) -> tuple[list[tuple[Condition, str]], Condition | None]:
-    """NNF + conjunct split: ``(indexable probes, residual condition)``.
-
-    Memoized on the condition instance per covered-path set, so cached
-    parsed queries re-plan without re-walking their condition tree.
-    """
-    cached = getattr(condition, "_split_cache", None)
-    if cached is not None and cached[0] == paths:
-        return cached[1], cached[2]
-    probes: list[tuple[Condition, str]] = []
-    residual: Condition | None = None
-    for conjunct in conjuncts(nnf(condition)):
-        kind = _probe_kind(conjunct, paths)
-        if kind is not None:
-            probes.append((conjunct, kind))
-        else:
-            residual = (conjunct if residual is None
-                        else And(residual, conjunct))
-    try:
-        object.__setattr__(condition, "_split_cache",
-                           (paths, probes, residual))
-    except AttributeError:  # slotted user subclass
-        pass
-    return probes, residual
-
-
-def _candidates(conjunct: Condition, kind: str,
-                index: "AttrIndex") -> frozenset[Data]:
-    if kind == "=":
-        return index.equality_candidates(conjunct.steps, conjunct.target)
-    if kind == "exists":
-        return index.exists_candidates(conjunct.steps)
-    return index.contains_candidates(conjunct.steps,
-                                     conjunct.target.value)
-
-
-def _canonical_key(datum: Data) -> tuple:
-    return (structural_key(datum.marker), structural_key(datum.object))
 
 
 def _order_limit(selected: list[Data],
@@ -226,19 +137,16 @@ def _resolve_columns(columns, size: int | None) -> "ColumnStore | None":
 
 def select_data(dataset: "DataSet | Callable[[], DataSet]",
                 condition: Condition | None,
-                index: "AttrIndex | None" = None,
                 order: tuple[Sequence[str], bool] | None = None,
                 limit: int | None = None,
                 columns=None, size: int | None = None) -> list[Data]:
     """Plan and execute a selection; result order matches the naive scan.
 
-    ``index`` must index exactly the data in ``dataset`` (candidate
-    sets are defensively intersected with the data set, so a superset
-    index still yields correct results). ``columns`` optionally names
-    the snapshot's :class:`~repro.store.columnar.ColumnStore` (or a
-    lazy callable producing it) for the columnar scan strategy.
-    ``dataset`` may be a zero-argument callable producing the set, with
-    ``size`` its row count: the columnar strategy then never calls it.
+    ``columns`` optionally names the snapshot's
+    :class:`~repro.store.columnar.ColumnStore` (or a lazy callable
+    producing it) for the columnar scan strategy. ``dataset`` may be a
+    zero-argument callable producing the set, with ``size`` its row
+    count: the columnar strategy then never calls it.
     """
     def resolve() -> DataSet:
         return dataset() if callable(dataset) else dataset
@@ -248,49 +156,37 @@ def select_data(dataset: "DataSet | Callable[[], DataSet]",
     if condition is None:
         selected = list(resolve())
         return _order_limit(selected, order, limit)
-
-    probes: list[tuple[Condition, str]] = []
-    residual: Condition | None = condition
-    if index is not None and index:
-        probes, residual = _split(condition, index.paths)
-
-    if not probes:
-        # Compile first: operand validation must surface identically on
-        # every scan strategy. The column store only resolves (and a
-        # lazy one only builds) when the condition actually compiled.
-        predicate = compile_condition(condition)
-        program = compile_columnar(condition)
-        store = (_resolve_columns(columns, size)
-                 if program is not None else None)
-        if store is not None:
-            selected = store.matches(program, predicate)
-            return _order_limit(selected, order, limit)
+    # Compile first: operand validation must surface identically on
+    # every strategy. The column store only resolves (and a lazy one
+    # only builds) when the condition actually compiled.
+    predicate = compile_condition(condition)
+    program = compile_columnar(condition)
+    store = (_resolve_columns(columns, size)
+             if program is not None else None)
+    if store is not None:
+        selected = store.matches(program, predicate)
+    else:
         selected = [datum for datum in resolve()
                     if predicate(datum.object)]
-        return _order_limit(selected, order, limit)
-
-    # Residual compiles before probing so operand validation (bad
-    # bounds, non-string Contains) surfaces regardless of candidates.
-    predicate = (compile_condition(residual)
-                 if residual is not None else None)
-    sets = sorted((_candidates(conjunct, kind, index)
-                   for conjunct, kind in probes), key=len)
-    candidates: set[Data] = set(sets[0])
-    for other in sets[1:]:
-        candidates &= other
-        if not candidates:
-            break
-    data = resolve()
-    matched = [datum for datum in candidates
-               if datum in data
-               and (predicate is None or predicate(datum.object))]
-    matched.sort(key=_canonical_key)
-    return _order_limit(matched, order, limit)
+    return _order_limit(selected, order, limit)
 
 
-def _scan_plan(condition: Condition, reason: str, pushdown: bool,
-               columns, size: int | None) -> Plan:
-    """The scan strategy :func:`select_data` would fall back to."""
+def explain_plan(condition: Condition | None,
+                 order: tuple[Sequence[str], bool] | None = None,
+                 limit: int | None = None,
+                 columns=None,
+                 size: int | None = None) -> Plan:
+    """The plan :func:`select_data` would choose, without executing it.
+
+    ``estimated_rows`` is an upper bound: the definite columnar matches
+    plus every maybe/residue row a per-row check could still admit
+    (``size`` for a blind row scan).
+    """
+    pushdown = order is not None and limit is not None
+    if condition is None:
+        return Plan(strategy="row-scan", order_pushdown=pushdown,
+                    estimated_rows=size,
+                    reason="no condition: every datum matches")
     program = compile_columnar(condition)
     store = (_resolve_columns(columns, size)
              if program is not None else None)
@@ -305,52 +201,12 @@ def _scan_plan(condition: Condition, reason: str, pushdown: bool,
                     estimated_rows=estimated,
                     shredded_rows=store.shredded_count,
                     residue_rows=store.residue_count,
-                    reason=f"{reason}: bitset scan over "
-                           f"{store.shredded_count} shredded rows, "
-                           f"row fallback on {store.residue_count} "
-                           f"residue rows")
+                    reason=f"bitset scan over {store.shredded_count} "
+                           f"shredded rows, row fallback on "
+                           f"{store.residue_count} residue rows")
     return Plan(strategy="row-scan", residual=repr(condition),
                 order_pushdown=pushdown, estimated_rows=size,
-                reason=f"{reason}: compiled full scan")
-
-
-def explain_plan(condition: Condition | None,
-                 index: "AttrIndex | None" = None,
-                 order: tuple[Sequence[str], bool] | None = None,
-                 limit: int | None = None,
-                 columns=None,
-                 size: int | None = None) -> Plan:
-    """The plan :func:`select_data` would choose, without executing it.
-
-    ``estimated_rows`` is an upper bound: exact for index probes and
-    definite columnar matches, plus every maybe/residue row a per-row
-    check could still admit (``size`` for a blind row scan).
-    """
-    pushdown = order is not None and limit is not None
-    if condition is None:
-        return Plan(strategy="row-scan", order_pushdown=pushdown,
-                    estimated_rows=size,
-                    reason="no condition: every datum matches")
-    if index is None or not index:
-        return _scan_plan(condition, "no attribute index", pushdown,
-                          columns, size)
-    probes, residual = _split(condition, index.paths)
-    if not probes:
-        return _scan_plan(condition, "no indexable conjunct", pushdown,
-                          columns, size)
-    described = tuple(sorted(
-        (Probe(path=".".join(conjunct.steps), op=kind,
-               value=(None if kind == "exists"
-                      else repr(conjunct.target)),
-               selectivity=len(_candidates(conjunct, kind, index)))
-         for conjunct, kind in probes),
-        key=lambda probe: (probe.selectivity, probe.path)))
-    return Plan(strategy="index", probes=described,
-                residual=None if residual is None else repr(residual),
-                order_pushdown=pushdown,
-                estimated_rows=described[0].selectivity,
-                reason=f"intersect {len(described)} probe(s), "
-                       f"most selective first")
+                reason="compiled full scan")
 
 
 # -- join / aggregate plan nodes -----------------------------------------------

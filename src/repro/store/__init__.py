@@ -24,10 +24,12 @@ The paper defers implementation; this package provides it:
   canonical tuples shredded into per-attribute columns (flat primitive
   arrays plus present/irregular sidecar bitsets, too-irregular rows in
   a row-fallback residue) powering the planner's columnar scan
-  strategy.
+  strategy. Each column's eq-index and possible-value index map a
+  ``(type, value)`` to the bitset of rows whose path reaches it: the
+  store's one inverted index, built lazily or up front through
+  ``Database.create_index``, and carried across writes.
 """
 
-from repro.store.attr_index import AttrIndex
 from repro.store.bulk import (
     IncrementalUnion,
     UnionDiff,
@@ -63,7 +65,6 @@ from repro.store.wal import (
 )
 
 __all__ = [
-    "AttrIndex",
     "KeyIndex", "signature", "NEVER_MATCHES", "UNINDEXABLE",
     "indexed_union", "indexed_intersection", "indexed_difference",
     "blocked_union", "fold_union", "IncrementalUnion", "UnionDiff",

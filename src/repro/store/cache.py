@@ -36,12 +36,10 @@ Two caches share the same LRU core:
   only the probe side still evicts or re-tags correctly, never serving
   a stale joined result.
 
-  Touch information for *indexed* paths comes for free from the
-  copy-on-write :meth:`~repro.store.attr_index.AttrIndex.patched`
-  postings delta; only footprint paths outside the attribute index are
-  re-walked over the delta (capped — a write that rewrites more data
-  than :data:`PRECISION_CAP` falls back to treating those paths as
-  touched).
+  Whether a write touches a footprint path is decided by walking the
+  path over each delta datum. The walk is capped: a write whose delta
+  holds more than :data:`PRECISION_CAP` data treats every footprint
+  path as touched.
 
 The memory model is the CPython one: entries are only mutated under the
 cache mutex, and the generation tag is re-checked against the reader's
@@ -56,8 +54,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
-from repro.query.paths import path_exists
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.data import Data, DataSet
 
@@ -66,8 +62,8 @@ __all__ = ["LRUCache", "QueryResultCache", "PRECISION_CAP"]
 #: A parsed attribute path.
 Steps = tuple[str, ...]
 
-#: Writes whose delta exceeds this many data stop re-walking unindexed
-#: footprint paths and conservatively treat them as touched.
+#: Writes whose delta exceeds this many data stop walking footprint
+#: paths over it and conservatively treat them all as touched.
 PRECISION_CAP = 128
 
 
@@ -213,41 +209,33 @@ class QueryResultCache:
                 self.evictions += 1
 
     def commit(self, old_generation: int, new_generation: int,
-               delta: "Iterable[Data]",
-               touched_indexed: frozenset[Steps],
-               indexed_paths: frozenset[Steps]) -> None:
+               delta: "Iterable[Data]") -> None:
         """Writer-side epoch step: re-tag unaffected entries, evict the
         rest.
 
-        ``delta`` is the net set of data the write removed plus added;
-        ``touched_indexed`` the indexed paths the attribute-index patch
-        saw those data reach (exact, computed as a by-product of the
-        copy-on-write patch); ``indexed_paths`` the paths the index
-        covers.
+        ``delta`` is the net set of data the write removed plus added.
+        A footprint path is touched when some delta datum reaches it,
+        or, past :data:`PRECISION_CAP` data, always.
         """
         if self._capacity <= 0 or not self._entries:
             return
+        # Imported here: the query package imports this module.
+        from repro.query.paths import path_exists
+
         delta = list(delta)
         with self._lock:
             candidates = [
                 (text, entry) for text, entry in self._entries.items()
                 if entry.safe and entry.generation == old_generation]
-            survivors_possible = {
+            footprint = {
                 path
                 for _, entry in candidates for path in entry.paths}
-            touched = {path for path in survivors_possible
-                       if path in indexed_paths
-                       and path in touched_indexed}
-            unindexed = [path for path in survivors_possible
-                         if path not in indexed_paths]
-            if unindexed:
-                if len(delta) <= PRECISION_CAP:
-                    for path in unindexed:
-                        if any(path_exists(datum.object, path)
-                               for datum in delta):
-                            touched.add(path)
-                else:
-                    touched.update(unindexed)
+            if len(delta) <= PRECISION_CAP:
+                touched = {path for path in footprint
+                           if any(path_exists(datum.object, path)
+                                  for datum in delta)}
+            else:
+                touched = footprint
             surviving = {
                 text for text, entry in candidates
                 if not (entry.paths & touched)}

@@ -29,10 +29,10 @@ as open work; this module is that implementation at library scale:
   silently empty database behind. Two on-disk formats:
   ``format="json"`` (the tagged-JSON codec, human-greppable) and
   ``format="binary"`` (:mod:`repro.binary_codec` — deduplicated value
-  table, streamed data, and the key/attribute index signatures
-  persisted alongside the data so a cold :meth:`load` starts
-  index-warm: the saved postings are validated against a content
-  digest of the dataset section and only rebuilt on mismatch);
+  table, streamed data, and the key-index signatures persisted
+  alongside the data so a cold :meth:`load` starts key-index-warm: the
+  saved buckets are validated against a content digest of the dataset
+  section and only rebuilt on mismatch);
 * ``merge_in`` ingests another source as a net
   :class:`~repro.store.bulk.UnionDiff` against the maintained index,
   so an ingest touches only the data the ``∪K`` step actually
@@ -82,7 +82,6 @@ from repro.core.errors import CodecError
 from repro.core.intern import intern_data
 from repro.core.objects import Marker, SSObject, Tuple
 from repro.json_codec.codec import decode_dataset, encode_dataset
-from repro.store.attr_index import AttrIndex
 from repro.store.bulk import union_diff
 from repro.store.cache import LRUCache, QueryResultCache
 from repro.store.fsutil import fsync_directory
@@ -110,10 +109,12 @@ _VERSION = 1
 #: version, the embedded codec version, a flags varint and — from
 #: container version 2 — the snapshot's generation varint).
 _BINARY_MAGIC = b"RPDB"
-_BINARY_VERSION = 2
+_BINARY_VERSION = 3
 
-#: Container versions this build can read (1 has no generation field).
-_BINARY_READABLE = (1, 2)
+#: Container versions this build can read (1 has no generation field;
+#: 1 and 2 carry an attribute-index section before the key section,
+#: so only their data is read and their key indexes rebuild lazily).
+_BINARY_READABLE = (1, 2, 3)
 
 #: Container flag: the store interns its objects.
 _FLAG_INTERNED = 1
@@ -151,19 +152,17 @@ class _DBState:
     """
 
     __slots__ = ("generation", "data", "marker_index", "key_indexes",
-                 "attr_index", "_dataset", "_columns")
+                 "_dataset", "_columns")
 
     def __init__(self, generation: int, data: PSet,
                  marker_index: PMap,
                  key_indexes: dict[frozenset[str], KeyIndex],
-                 attr_index: AttrIndex,
                  dataset: DataSet | None = None,
                  columns=None):
         self.generation = generation
         self.data = data
         self.marker_index = marker_index
         self.key_indexes = key_indexes
-        self.attr_index = attr_index
         self._dataset = dataset
         self._columns = columns
 
@@ -172,7 +171,7 @@ class _DBState:
         generation.
 
         Only the paths that need the whole set ask for it: row scans,
-        index probes, ``naive=True`` and snapshots. The planned query
+        ``naive=True`` and snapshots. The planned query
         path takes its size from ``len(data)`` and passes this bound
         method along unresolved, like :meth:`columns`, so a columnar
         read never pays the O(n) freeze. The memo assignment races
@@ -204,14 +203,7 @@ class _DBState:
     def with_key_indexes(self, key_indexes) -> "_DBState":
         """Same generation, one more lazily built key index."""
         return _DBState(self.generation, self.data, self.marker_index,
-                        key_indexes, self.attr_index, self._dataset,
-                        self._columns)
-
-    def with_attr_index(self, attr_index: AttrIndex) -> "_DBState":
-        """Same generation, one more indexed attribute path."""
-        return _DBState(self.generation, self.data, self.marker_index,
-                        self.key_indexes, attr_index, self._dataset,
-                        self._columns)
+                        key_indexes, self._dataset, self._columns)
 
 
 def _build_marker_index(data: Iterable[Data]) -> PMap:
@@ -271,7 +263,8 @@ class Database:
     snapshots, views) are lock-free against the last published
     generation, writes serialize behind an internal writer lock.
     ``result_cache_size`` bounds the epoch-invalidated query-result
-    cache (``0`` disables it).
+    cache (``0`` disables it). ``index_paths`` names attribute paths
+    whose column indexes :meth:`create_index` builds up front.
     """
 
     def __init__(self, data: Iterable[Data] = (), *,
@@ -285,9 +278,10 @@ class Database:
             data=PSet(initial),
             marker_index=_build_marker_index(initial),
             key_indexes={},
-            attr_index=AttrIndex(index_paths, initial),
         )
         self._init_runtime(state, result_cache_size)
+        for path in index_paths:
+            self.create_index(path)
 
     def _init_runtime(self, state: _DBState,
                       result_cache_size: int = _RESULT_CACHE_SIZE) -> None:
@@ -344,8 +338,8 @@ class Database:
         """An immutable view of the current contents.
 
         The :class:`DataSet` is built on first use and kept for the
-        generation: the first ``snapshot()`` (or row scan, index probe
-        or ``naive=True`` read) after a write pays the O(n) freeze once,
+        generation: the first ``snapshot()`` (or row scan or
+        ``naive=True`` read) after a write pays the O(n) freeze once,
         and columnar queries never pay it.
         """
         return self._state.dataset()
@@ -372,10 +366,6 @@ class Database:
     @property
     def _key_indexes(self) -> dict[frozenset[str], KeyIndex]:
         return self._state.key_indexes
-
-    @property
-    def _attr_index(self) -> AttrIndex:
-        return self._state.attr_index
 
     # -- updates ---------------------------------------------------------------
 
@@ -444,8 +434,6 @@ class Database:
         if not delta_removed and not delta_added:
             return (), (), None
         new_data = _patched_data(state.data, delta_removed, delta_added)
-        attr_index, touched = state.attr_index.patched(
-            delta_removed, delta_added)
         # The columnar shredding patches copy-on-write like every other
         # index — but only if some generation already built it; an
         # unshreded store stays lazy (columns=None) across writes.
@@ -458,14 +446,12 @@ class Database:
             key_indexes={
                 key: index.patched(delta_removed, delta_added)
                 for key, index in state.key_indexes.items()},
-            attr_index=attr_index,
             columns=(None if prev_columns is None
                      else prev_columns.patched(delta_removed,
                                                delta_added)),
         )
         cache_step = (state.generation, next_state.generation,
-                      delta_removed + delta_added, touched,
-                      attr_index.paths)
+                      delta_removed + delta_added)
         log = self._wal
         if log is None:
             self._results.commit(*cache_step)
@@ -739,34 +725,35 @@ class Database:
             candidate for candidate in index.candidates(datum)
             if compatible_data(datum, candidate, checked))
 
-    # -- attribute indexes -------------------------------------------------------
-
-    @property
-    def indexed_paths(self) -> frozenset[tuple[str, ...]]:
-        """The attribute paths the query planner can probe."""
-        return self._state.attr_index.paths
+    # -- column indexes -------------------------------------------------------
 
     def create_index(self, path: str) -> None:
-        """Start indexing an attribute path (backfilled immediately).
+        """Build an attribute path's column indexes now.
 
-        Queries whose conditions constrain the path with ``Eq``,
-        ``Exists`` or ``Contains`` then probe the inverted index
-        instead of scanning; ``insert``/``remove``/``update``/
-        ``merge_in`` keep it current incrementally.
+        Queries answer ``Eq`` and ordered leaves on scalar entries from
+        the path column's eq-index, and every value leaf on or-valued
+        and set-valued entries from its possible-value index; a query
+        otherwise builds each on first use. This builds both on the
+        chain head's column store (shredding the store first if no
+        generation has), so the first query on the path does not pay
+        the build. Successors carry the built indexes across writes;
+        a compacting rebuild of the column store, which renumbers
+        positions, drops them, and the next query rebuilds. A path no
+        row reaches has no column, and nothing to build.
+
+        The cost is one bitset per distinct value: small on a
+        low-cardinality path, but a unique-valued path holds one
+        bitset per row (DESIGN.md §2).
         """
+        from repro.query.paths import parse_path
+
+        steps = parse_path(path)
         with self._lock:
-            # Index the chain head so the path stays maintained across
-            # pending (registered, not yet published) commits too.
-            state = self._head
-            attr_index = state.attr_index.with_path(path, state.data)
-            if attr_index is not state.attr_index:
-                # Same generation: an extra index changes plans, never
-                # results, so cached entries stay valid.
-                replacement = state.with_attr_index(attr_index)
-                self._head = replacement
-                with self._publish_lock:
-                    if self._state is state:
-                        self._state = replacement
+            # The head, so the carry starts from pending commits too.
+            column = self._head.columns().column(steps)
+            if column is not None:
+                column.eq_index()
+                column.possible_index()
 
     # -- queries -----------------------------------------------------------------
 
@@ -813,17 +800,15 @@ class Database:
             return self._aggregate_at(state, text, spec, naive=naive)
         if naive:
             # The definitional oracle: no cache, no planner.
-            return spec.query(state.dataset(),
-                              index=state.attr_index).run(naive=True)
+            return spec.query(state.dataset()).run(naive=True)
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
         # ``dataset`` and ``columns`` stay bound methods: the frozen set
-        # is only built for a row scan or index probe, and the shredding
-        # (once per lineage) only if the planner picks the columnar
-        # strategy for this condition.
-        result = spec.query(state.dataset, index=state.attr_index,
-                            columns=state.columns,
+        # is only built for a row scan, and the shredding (once per
+        # lineage) only if the planner picks the columnar strategy for
+        # this condition.
+        result = spec.query(state.dataset, columns=state.columns,
                             size=len(state.data)).run()
         paths, safe = self._cache_profile(spec)
         self._results.store(text, state.generation, result, paths, safe)
@@ -837,13 +822,11 @@ class Database:
         ``naive=True`` is the uncached per-row oracle.
         """
         if naive:
-            return spec.run_aggregate(state.dataset(),
-                                      index=state.attr_index, naive=True)
+            return spec.run_aggregate(state.dataset(), naive=True)
         cached = self._results.lookup(text, state.generation)
         if cached is not None:
             return cached
         result = spec.run_aggregate(state.dataset,
-                                    index=state.attr_index,
                                     columns=state.columns,
                                     size=len(state.data))
         paths, safe = self._cache_profile(spec)
@@ -856,7 +839,7 @@ class Database:
 
         Parsed queries are cached by text (a true LRU), results are
         cached per generation with epoch invalidation, and execution
-        routes through the planner with this database's attribute index
+        routes through the planner with this database's column store
         attached. ``naive=True`` forces the definitional full scan (the
         oracle), bypassing every cache.
         """
@@ -865,8 +848,8 @@ class Database:
     def explain(self, text: str, *, analyze: bool = False):
         """The :class:`~repro.query.planner.Plan` for a textual query.
 
-        The plan names the physical strategy (``index`` / ``columnar``
-        / ``row-scan``) and the planner's estimated row count;
+        The plan names the physical strategy (``columnar`` /
+        ``row-scan``) and the planner's estimated row count;
         ``analyze=True`` also executes it and reports ``actual_rows``.
         Aggregate queries return an
         :class:`~repro.query.planner.AggregatePlan` wrapping the
@@ -874,8 +857,8 @@ class Database:
         """
         state = self._state
         spec = self._parsed(text)
-        query = spec.query(state.dataset, index=state.attr_index,
-                           columns=state.columns, size=len(state.data))
+        query = spec.query(state.dataset, columns=state.columns,
+                           size=len(state.data))
         if spec.is_aggregate:
             return query.explain_aggregate(spec.aggregates, spec.group,
                                            analyze=analyze)
@@ -894,10 +877,10 @@ class Database:
             raise QueryError("join inputs must be selection queries, "
                              "not aggregates")
         size = len(state.data)
-        left = left_spec.query(state.dataset, index=state.attr_index,
-                               columns=state.columns, size=size)
-        right = right_spec.query(state.dataset, index=state.attr_index,
-                                 columns=state.columns, size=size)
+        left = left_spec.query(state.dataset, columns=state.columns,
+                               size=size)
+        right = right_spec.query(state.dataset, columns=state.columns,
+                                 size=size)
         return JoinQuery(left, right, on), left_spec, right_spec
 
     def join_query(self, left_text: str, right_text: str,
@@ -1049,10 +1032,10 @@ class Database:
         each commit then waits up to the interval, in exchange for
         far fewer fsyncs under a steady trickle of writers.
 
-        ``intern_objects``/``index_paths``/``result_cache_size`` apply
-        to a freshly created store; an existing snapshot keeps its own
-        interning flag and persisted indexes (``index_paths`` are
-        still ensured via :meth:`create_index`).
+        ``intern_objects``/``result_cache_size`` apply to a freshly
+        created store; an existing snapshot keeps its own interning
+        flag. ``index_paths`` are built after recovery either way, via
+        :meth:`create_index`.
         """
         target = Path(path)
         if not durable:
@@ -1151,13 +1134,12 @@ class Database:
         against the running contents, so frames the snapshot already
         contains (the crash-mid-compaction window) fall out as no-ops
         while the final generation still lands on the last frame
-        replayed. Indexes are patched copy-on-write per frame, keeping
-        an index-warm snapshot load warm through replay.
+        replayed. Key indexes are patched copy-on-write per frame,
+        keeping a key-index-warm snapshot load warm through replay.
         """
         state = self._state
         data = state.data
         marker_index = state.marker_index
-        attr_index = state.attr_index
         key_indexes = state.key_indexes
         generation = state.generation
         changed = False
@@ -1177,8 +1159,6 @@ class Database:
             data = _patched_data(data, delta_removed, delta_added)
             marker_index = _patched_markers(marker_index, delta_removed,
                                             delta_added)
-            attr_index, _ = attr_index.patched(delta_removed,
-                                               delta_added)
             key_indexes = {
                 key: index.patched(delta_removed, delta_added)
                 for key, index in key_indexes.items()}
@@ -1189,7 +1169,6 @@ class Database:
             data=data,
             marker_index=marker_index,
             key_indexes=key_indexes,
-            attr_index=attr_index,
             dataset=None if changed else state._dataset,
         )
         self._head = self._state
@@ -1286,9 +1265,9 @@ class Database:
 
         ``format="binary"`` writes the :mod:`repro.binary_codec`
         container: the dataset streamed through a deduplicating value
-        table, followed by the current key-index and attribute-index
-        signatures keyed to a content digest, so :meth:`load` can
-        restore the indexes without recomputing a single signature.
+        table, followed by the current key-index signatures keyed to a
+        content digest, so :meth:`load` can restore the key indexes
+        without recomputing a single signature.
         """
         if format not in ("json", "binary"):
             raise CodecError(
@@ -1342,9 +1321,9 @@ class Database:
 
         The on-disk format is auto-detected (binary files start with a
         magic prefix); pass ``format="json"``/``"binary"`` to force.
-        Binary loads restore the persisted key/attribute indexes when
-        the stored content digest matches the dataset section, and
-        rebuild them otherwise.
+        Binary loads restore the persisted key indexes when the stored
+        content digest matches the dataset section, and rebuild them
+        otherwise.
         """
         if format is None:
             try:
@@ -1387,21 +1366,22 @@ class Database:
             state = database._state
             database._state = _DBState(
                 generation, state.data, state.marker_index,
-                state.key_indexes, state.attr_index, state._dataset)
+                state.key_indexes, state._dataset)
             database._head = database._state
         return database
 
     # -- binary container ---------------------------------------------------------
 
     def _write_binary(self, handle: IO[bytes], state: _DBState) -> None:
-        """Stream the binary container: header, dataset, digest, indexes.
+        """Stream the binary container: header, dataset, END, digest,
+        key-index section.
 
         The dataset section iterates the pinned state's raw element set
         (no canonical sort — ``structural_key`` recursion stays off the
-        persistence path). Index sections reference data by their
+        persistence path). The key section references data by their
         position in the written stream and subobjects by their codec
-        value-table refs, so persisting the indexes costs varints, not
-        re-encoded values.
+        value-table refs, so persisting the key indexes costs varints,
+        not re-encoded values.
         """
         # An interned database never holds two structurally equal but
         # distinct objects, so identity dedup alone is complete there.
@@ -1412,18 +1392,17 @@ class Database:
         encoder.write_uvarint(binary_codec.VERSION)
         encoder.write_uvarint(_FLAG_INTERNED if self._intern else 0)
         encoder.write_uvarint(state.generation)
-        # order maps id(datum) -> pre-packed position varint: index
-        # sections reference each datum ~once per indexed path, so
+        # order maps id(datum) -> pre-packed position varint: the key
+        # section references each datum ~once per key index, so
         # packing the position once amortizes across all of them.
         order: dict[int, bytes] = {}
         for position, datum in enumerate(state.data):
             order[id(datum)] = binary_codec.pack_uvarint(position)
             encoder.write_datum(datum)
         encoder.write_end()
-        # Digest of everything up to and including END pins the index
-        # sections to this exact dataset encoding.
+        # Digest of everything up to and including END pins the key
+        # section to this exact dataset encoding.
         encoder.write_string(encoder.hexdigest())
-        self._write_attr_section(encoder, order, state.attr_index)
         self._write_key_section(encoder, order, state.key_indexes)
         encoder.flush()
 
@@ -1433,21 +1412,6 @@ class Database:
         refs = [order[id(datum)] for datum in data]
         encoder.write_uvarint(len(refs))
         encoder.write_bytes(b"".join(refs))
-
-    def _write_attr_section(self, encoder: Encoder,
-                            order: dict[int, bytes],
-                            attr_index: AttrIndex) -> None:
-        entries = list(attr_index.entries())
-        encoder.write_uvarint(len(entries))
-        for steps, postings, exists in entries:
-            encoder.write_uvarint(len(steps))
-            for step in steps:
-                encoder.write_string(step)
-            self._write_data_refs(encoder, exists, order)
-            encoder.write_uvarint(len(postings))
-            for value, holders in postings.items():
-                encoder.write_ref(value)
-                self._write_data_refs(encoder, holders, order)
 
     def _write_key_section(self, encoder: Encoder,
                            order: dict[int, bytes],
@@ -1509,36 +1473,29 @@ class Database:
         dataset_digest = decoder.hexdigest()
 
         data = PSet(data_order)
-        attr_index = AttrIndex()
         key_indexes: dict[frozenset[str], KeyIndex] = {}
 
-        # The index sections are an optimization, never a correctness
+        # The key section is an optimization, never a correctness
         # dependency: any parse problem or digest mismatch falls back
-        # to rebuilding from the data (keeping the recorded paths/keys
-        # when the section structure itself was readable).
-        attr_entries: list | None = None
-        key_structs: list | None = None
-        stored_digest = None
-        try:
-            stored_digest = decoder.read_string()
-            attr_entries = cls._read_attr_section(decoder, data_order)
-            key_structs = cls._read_key_section(decoder, data_order)
-        except CodecError:
-            pass
-        if (stored_digest == dataset_digest and attr_entries is not None
-                and key_structs is not None):
-            attr_index = AttrIndex.restore(attr_entries)
-            key_indexes = {
-                key: KeyIndex.restore(key, buckets, scan, never)
-                for key, buckets, scan, never in key_structs}
-        else:
-            if attr_entries:
-                attr_index = AttrIndex(
-                    [steps for steps, _, _ in attr_entries], data_order)
-            if key_structs:
+        # to rebuilding from the data (keeping the recorded keys when
+        # the section structure itself was readable). Versions 1 and 2
+        # put an attribute-index section first; nothing reads it, so
+        # their key indexes rebuild lazily on first use.
+        if container_version >= 3:
+            key_structs: list | None = None
+            stored_digest = None
+            try:
+                stored_digest = decoder.read_string()
+                key_structs = cls._read_key_section(decoder, data_order)
+            except CodecError:
+                pass
+            if stored_digest == dataset_digest and key_structs is not None:
                 key_indexes = {
-                    key: KeyIndex(data, key)
-                    for key, _, _, _ in key_structs}
+                    key: KeyIndex.restore(key, buckets, scan, never)
+                    for key, buckets, scan, never in key_structs}
+            elif key_structs:
+                key_indexes = {key: KeyIndex(data, key)
+                               for key, _, _, _ in key_structs}
 
         database = cls.__new__(cls)
         database._intern = interned
@@ -1547,27 +1504,13 @@ class Database:
             data=data,
             marker_index=_build_marker_index(data),
             key_indexes=key_indexes,
-            attr_index=attr_index,
         ))
         return database
 
     @staticmethod
-    def _read_data_refs(decoder: Decoder,
-                        data_order: list[Data]) -> set[Data]:
-        count = decoder.read_uvarint()
-        refs = decoder.read_uvarint_seq(count)
-        try:
-            return set(map(data_order.__getitem__, refs))
-        except IndexError:
-            bad = next(ref for ref in refs if ref >= len(data_order))
-            raise CodecError(
-                f"invalid datum reference {bad} in index section") \
-                from None
-
-    @staticmethod
     def _read_data_ref_list(decoder: Decoder,
                             data_order: list[Data]) -> list[Data]:
-        """Like :meth:`_read_data_refs` but preserves the written order
+        """The data a varint position list references, in written order
         (key-index buckets are lists, so no set needs building)."""
         count = decoder.read_uvarint()
         refs = decoder.read_uvarint_seq(count)
@@ -1578,21 +1521,6 @@ class Database:
             raise CodecError(
                 f"invalid datum reference {bad} in index section") \
                 from None
-
-    @classmethod
-    def _read_attr_section(cls, decoder: Decoder,
-                           data_order: list[Data]) -> list:
-        entries = []
-        for _ in range(decoder.read_uvarint()):
-            steps = tuple(decoder.read_label()
-                          for _ in range(decoder.read_uvarint()))
-            exists = cls._read_data_refs(decoder, data_order)
-            postings = {}
-            for _ in range(decoder.read_uvarint()):
-                value = decoder.node(decoder.read_uvarint())
-                postings[value] = cls._read_data_refs(decoder, data_order)
-            entries.append((steps, postings, exists))
-        return entries
 
     @classmethod
     def _read_key_section(cls, decoder: Decoder,
@@ -1681,5 +1609,5 @@ class DatabaseView:
         """The plan the pinned generation would use for a query."""
         state = self._state
         return self._database._parsed(text).query(
-            state.dataset, index=state.attr_index, columns=state.columns,
+            state.dataset, columns=state.columns,
             size=len(state.data)).explain(analyze=analyze)

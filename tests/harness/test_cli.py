@@ -145,20 +145,6 @@ class TestQuery:
         assert "aggregate[" in out
         assert "actual groups: 1" in out
 
-    def test_index_leaves_output_unchanged(self, tmp_path, capsys):
-        library = tmp_path / "library.bib"
-        library.write_text(ALICE + BOB + """
-@InProc{T79, title = "RDB", author = "Tom", year = 1979}
-""")
-        for text in ("select title where year = 1981",
-                     "select count(*), max(year) group by year"):
-            outputs = []
-            for extra in ([], ["--index", "year"]):
-                assert main(["query", str(library), text] + extra) == 0
-                outputs.append(capsys.readouterr().out)
-            assert outputs[0].strip()
-            assert outputs[0] == outputs[1]
-
     def test_join_query(self, bib_files, capsys):
         a, _ = bib_files
         assert main(["query", str(a), "select * where exists year",

@@ -1,9 +1,10 @@
 """Differential oracle suite: planned query execution vs the full scan.
 
 The planner (``repro.query.planner``) answers a query three ways a full
-scan never does: it compiles the condition into closures, probes the
-inverted attribute index for candidate sets, and pushes ``order_by`` +
-``limit`` down into a heap selection. Each shortcut must be invisible —
+scan never does: it compiles the condition into closures, evaluates it
+as bitset algebra over a column store's eq-index and possible-value
+index, and pushes ``order_by`` + ``limit`` down into a heap selection.
+Each shortcut must be invisible —
 ``Query.run(naive=True)`` keeps the definitional path (filter the whole
 data set with ``Condition.matches``, then sort, then slice), and this
 suite drives both over Hypothesis-generated datasets and condition
@@ -11,9 +12,9 @@ trees, asserting identical results.
 
 The generators deliberately produce the planner's awkward cases:
 or-valued and set-valued attributes (existential spread), ``Not``/``Or``
-wrapped around indexable conjuncts (NNF rewriting, scan fallback),
-paths that reach nothing, and indexes covering only a subset of the
-queried paths (residual filtering).
+wrapped around leaves (NNF rewriting), paths that reach nothing, and
+column stores whose indexes are built up front on none, some or all of
+the queried paths.
 """
 
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from repro.query import (
     Or,
     Query,
 )
-from repro.store import AttrIndex
+from repro.store import ColumnStore
 
 CASES = settings(max_examples=300, deadline=None)
 
@@ -91,9 +92,9 @@ def _combine(children):
 
 conditions = st.recursive(leaf_conditions, _combine, max_leaves=6)
 
-# Index none, some, or all of the queried paths: exercises the scan
-# fallback, partially-covered conjunctions (residual filter), and fully
-# covered probes.
+# No column store (the row scan), or a column store whose indexes are
+# built up front on none, some or all of the queried paths (the rest
+# build lazily during evaluation).
 index_choices = st.sampled_from(
     (None, (), ("type",), ("type", "author"), LABELS))
 
@@ -101,7 +102,13 @@ index_choices = st.sampled_from(
 def _query(dataset, condition, index_paths):
     query = Query(dataset).where(condition)
     if index_paths is not None:
-        query = query.with_index(AttrIndex(index_paths, dataset))
+        store = ColumnStore.build(dataset)
+        for path in index_paths:
+            column = store.column((path,))
+            if column is not None:
+                column.eq_index()
+                column.possible_index()
+        query = query.with_columns(store)
     return query
 
 
@@ -136,18 +143,22 @@ def test_group_by_matches_naive(dataset, condition, path):
 @CASES
 @given(datasets(), datasets(), conditions)
 def test_index_stays_exact_across_mutations(initial, extra, condition):
-    """Incrementally patched postings equal a rebuilt index's answers."""
-    index = AttrIndex(LABELS, initial)
+    """Column indexes carried through copy-on-write patches answer
+    like a naive scan of the patched data."""
+    store = ColumnStore.build(initial)
+    for label in LABELS:
+        column = store.column((label,))
+        if column is not None:
+            column.eq_index()
+            column.possible_index()
     current = set(initial)
-    for datum in extra:
-        if datum in current:
-            continue
-        index.add(datum)
-        current.add(datum)
-    for datum in list(current)[::2]:
-        index.remove(datum)
-        current.discard(datum)
+    added = [datum for datum in extra if datum not in current]
+    store = store.patched((), added)
+    current.update(added)
+    removed = list(current)[::2]
+    store = store.patched(removed, ())
+    current.difference_update(removed)
 
     dataset = DataSet(current)
-    query = Query(dataset).where(condition).with_index(index)
+    query = Query(dataset).where(condition).with_columns(store)
     assert query.run() == query.run(naive=True)

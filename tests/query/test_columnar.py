@@ -1,8 +1,8 @@
 """Columnar evaluator and planner-strategy tests.
 
-The planner now picks between three physical strategies — probe the
-attribute index, columnar bitset scan, compiled row scan — and every
-choice must be invisible in the results. These tests pin the strategy
+The planner picks between two physical strategies — columnar bitset
+scan and compiled row scan — and the choice must be invisible in the
+results. These tests pin the strategy
 selection rules, the tri-state evaluator's edges (or-value maybes, ⊥,
 negation scoped to the shredded universe, strict atom typing), the
 ``explain()`` row counts, the database/executor integration and the
@@ -31,7 +31,7 @@ from repro.query import (
     Query,
     compile_columnar,
 )
-from repro.store import AttrIndex, ColumnStore
+from repro.store import ColumnStore
 from repro.store.database import Database
 
 
@@ -77,12 +77,16 @@ class TestStrategySelection:
         assert plan.strategy == "columnar"
         assert "shredded" in plan.reason
 
-    def test_index_beats_columnar(self):
+    def test_built_column_index_keeps_columnar(self):
+        # A column whose eq-index is built up front (what
+        # Database.create_index does) plans and answers the same.
         data = library()
+        store = ColumnStore.build(data)
+        store.column(("type",)).eq_index()
         query = (Query(data).where(Eq("type", "Article"))
-                 .with_index(AttrIndex(("type",), data))
-                 .with_columns(ColumnStore.build(data)))
-        assert query.explain().strategy == "index"
+                 .with_columns(store))
+        assert query.explain().strategy == "columnar"
+        assert query.run() == query.run(naive=True)
 
     def test_row_scan_without_columns(self):
         data = library()
@@ -120,7 +124,9 @@ class TestStrategySelection:
         data = library()
         condition = Eq("type", "Article") & Ge("year", 1995)
         plain = Query(data).where(condition)
-        indexed = plain.with_index(AttrIndex(("type",), data))
+        warm = ColumnStore.build(data)
+        warm.column(("type",)).eq_index()
+        indexed = plain.with_columns(warm)
         columnar = plain.with_columns(ColumnStore.build(data))
         expected = plain.run(naive=True)
         assert plain.run() == expected
@@ -231,12 +237,12 @@ class TestExplainRows:
         assert "shredded rows:" not in plan.describe()
 
     def test_index_estimates_probe_selectivity(self):
-        data = library()
-        query = (Query(data).where(Eq("type", "Book"))
-                 .with_index(AttrIndex(("type",), data)))
+        query = columnar_query(Eq("type", "Book"))
         plan = query.explain(analyze=True)
-        assert plan.strategy == "index"
-        assert plan.estimated_rows == 1
+        assert plan.strategy == "columnar"
+        # One definite match plus the residue row a per-row check
+        # could still admit.
+        assert plan.estimated_rows == 1 + plan.residue_rows
         assert plan.actual_rows == 1
 
 

@@ -1,5 +1,5 @@
 """The planned query path: plans, equality with the naive scan,
-index staleness across database mutations."""
+column-index freshness across database mutations."""
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.query import (
     Query,
     explain_plan,
 )
-from repro.store import AttrIndex, Database
+from repro.store import ColumnStore, Database
 
 
 def library():
@@ -37,8 +37,7 @@ def library():
 
 def indexed_query(condition=None):
     ds = library()
-    index = AttrIndex(["type", "author", "title", "year"], ds)
-    query = Query(ds, index=index)
+    query = Query(ds, columns=ColumnStore.build(ds))
     return query.where(condition) if condition is not None else query
 
 
@@ -99,24 +98,28 @@ class TestPlanVsScanOracle:
 
 class TestExplain:
     def test_indexed_equality_probes(self):
+        # The equality leaf reads its bitset from the type column's
+        # eq-index; the whole condition runs as one bitset program.
         plan = indexed_query(Eq("type", "Article")
                              & Ge("year", 1979)).explain()
-        assert plan.strategy == "index"
-        assert any(probe.op == "=" and probe.path == "type"
-                   for probe in plan.probes)
+        assert plan.strategy == "columnar"
         assert plan.residual is not None and "Ge" in plan.residual
+        assert plan.shredded_rows == 5 and plan.residue_rows == 0
 
     def test_fully_indexed_conjunction_has_no_residual(self):
-        plan = indexed_query(Eq("type", "Article")
-                             & Eq("author", "Tom")).explain()
-        assert plan.strategy == "index"
-        assert len(plan.probes) == 2
-        assert plan.residual is None
+        # The or-valued author of A78 answers from the possible-value
+        # index, so no row is left for the per-row residual check: the
+        # estimate is the exact count.
+        query = indexed_query(Eq("type", "Article") & Eq("author", "Tom"))
+        plan = query.explain(analyze=True)
+        assert plan.strategy == "columnar"
+        assert plan.estimated_rows == plan.actual_rows == 1
 
     def test_or_at_top_falls_back_to_scan(self):
+        # The fallback is the bitset scan: Or compiles like And.
         plan = indexed_query(Or(Eq("type", "Article"),
                                 Eq("author", "Joe"))).explain()
-        assert plan.strategy == "row-scan"
+        assert plan.strategy == "columnar"
 
     def test_no_index_falls_back_to_scan(self):
         plan = Query(library()).where(Eq("type", "Article")).explain()
@@ -124,21 +127,20 @@ class TestExplain:
 
     def test_selectivity_reported(self):
         plan = indexed_query(Eq("type", "InProc")).explain()
-        (probe,) = plan.probes
-        assert probe.selectivity == 2
+        assert plan.estimated_rows == 2
 
     def test_order_limit_pushdown_flagged(self):
         plan = (indexed_query(Eq("type", "Article"))
                 .order_by("year").limit(2).explain())
         assert plan.order_pushdown
-        assert "index" in plan.describe()
+        assert "columnar" in plan.describe()
 
     def test_negation_of_and_exposes_indexable_disjuncts_as_scan(self):
-        # NNF turns Not(And(...)) into Or(...): still a scan, but the
-        # plan shows the rewritten residual rather than crashing.
+        # NNF turns Not(And(...)) into Or(...) of negated leaves, which
+        # the bitset evaluator answers like any other condition.
         plan = indexed_query(Not(And(Eq("type", "Article"),
                                      Eq("author", "Tom")))).explain()
-        assert plan.strategy == "row-scan"
+        assert plan.strategy == "columnar"
 
 
 class TestDatabaseIntegration:
@@ -148,7 +150,7 @@ class TestDatabaseIntegration:
     def test_database_query_uses_the_index(self):
         db = self.make_db()
         plan = db.explain('select * where type = "Article"')
-        assert plan.strategy == "index"
+        assert plan.strategy == "columnar"
 
     def test_query_results_match_naive(self):
         db = self.make_db()
@@ -203,14 +205,13 @@ class TestDatabaseIntegration:
 
     def test_create_index_backfills(self):
         db = Database(library())
-        # Without an index the database's columnar shredding answers
-        # the scan (library data are flat shreddable tuples).
-        assert db.explain('select * where title = "RDB"').strategy == \
-            "columnar"
         db.create_index("title")
-        assert db.explain('select * where title = "RDB"').strategy == \
-            "index"
+        # The head's title column holds its indexes before any query.
+        column = db._state.columns().column(("title",))
+        assert column._eq_index is not None
+        assert column._irr_index is not None
         text = 'select * where title = "RDB"'
+        assert db.explain(text).strategy == "columnar"
         assert db.query(text) == db.query(text, naive=True)
         assert len(db.query(text)) == 1
 
@@ -230,12 +231,12 @@ class TestErrorSemantics:
                           & Ge("year", True)).run()
 
     def test_superset_index_is_harmless(self):
-        # A candidate set that mentions data outside the queried set is
-        # intersected away, never leaked into results.
+        # A column store over more data than the queried set is
+        # rejected for the row scan, never leaked into results.
         ds = library()
-        index = AttrIndex(["type"], ds)
         extra = data("GHOST", tup(type="Article", title="Ghost"))
-        index.add(extra)
-        query = Query(ds, index=index).where(Eq("type", "Article"))
+        store = ColumnStore.build(list(ds) + [extra])
+        query = Query(ds, columns=store).where(Eq("type", "Article"))
+        assert query.explain().strategy == "row-scan"
         assert extra not in query.run()
         assert query.run() == query.run(naive=True)

@@ -1,15 +1,18 @@
-"""Binary database snapshots: warm indexes, digest validation, fsync.
+"""Binary database snapshots: warm key indexes, digest validation,
+fsync, and the older container versions.
 
 The binary container must (a) round-trip the dataset exactly as the
-JSON format does, (b) restore the persisted key/attribute indexes when
-the content digest matches — giving cold loads the same query plans and
-merge behaviour as the live database — and (c) fall back to rebuilding
-when the index sections are damaged, never to wrong answers. The
-durability tests pin the fsync-before-replace contract for both
+JSON format does, (b) restore the persisted key indexes when the
+content digest matches — giving cold loads the same merge behaviour as
+the live database — and (c) fall back to rebuilding when the key
+section is damaged, never to wrong answers. Version 1 and 2 files,
+which also carry an attribute-index section, still load their data.
+The durability tests pin the fsync-before-replace contract for both
 formats.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,12 @@ def build_database(entries=40, index_paths=("type", "title", "year")):
     # Touch a key lookup so a KeyIndex exists to persist.
     database.compatible_with(rows[0], {"type", "title"})
     return database
+
+
+def key_index_contents(index):
+    """A key index's buckets, scan list and never list, order-free."""
+    return ({sig: frozenset(bucket) for sig, bucket in index.buckets.items()},
+            frozenset(index.scan_list), frozenset(index.never_list))
 
 
 class TestBinaryRoundTrip:
@@ -87,27 +96,20 @@ class TestBinaryRoundTrip:
 
 
 class TestWarmIndexes:
-    def test_attr_index_restored_equal_to_rebuilt(self, tmp_path):
+    def test_loaded_queries_equal_rebuilt(self, tmp_path):
         database = build_database()
         path = tmp_path / "db.bin"
         database.save(path, format="binary")
         loaded = Database.load(path)
         rebuilt = Database(loaded.snapshot(),
                            index_paths=("type", "title", "year"))
-        assert loaded.indexed_paths == rebuilt.indexed_paths
-        # Postings must be identical, not merely query-equivalent.
-        restored = {steps: (postings, exists) for steps, postings, exists
-                    in loaded._attr_index.entries()}
-        for steps, postings, exists in rebuilt._attr_index.entries():
-            assert restored[steps][0] == postings
-            assert restored[steps][1] == exists
         for text in ('select * where title = "T3"',
                      'select * where year >= 1985 and type = "Article"',
                      'select * where exists tags'):
             assert loaded.query(text) == rebuilt.query(text)
             assert loaded.query(text) == loaded.query(text, naive=True)
         assert loaded.explain(
-            'select * where title = "T3"').strategy == "index"
+            'select * where title = "T3"').strategy == "columnar"
 
     def test_key_indexes_restored(self, tmp_path):
         database = build_database()
@@ -158,9 +160,13 @@ class TestWarmIndexes:
         broken.write_bytes(raw[:position] + flipped
                            + raw[position + 1:])
         loaded = Database.load(broken)
-        # Indexes were rebuilt, not restored — same data, same answers.
+        # Key indexes were rebuilt, not restored — same data, same
+        # answers.
         assert loaded.snapshot() == database.snapshot()
-        assert loaded.indexed_paths == database.indexed_paths
+        key = frozenset({"type", "title"})
+        assert set(loaded._key_indexes) == {key}
+        assert key_index_contents(loaded._key_indexes[key]) == \
+            key_index_contents(database._key_indexes[key])
         for text in ('select * where title = "T3"',
                      'select * where exists tags'):
             assert loaded.query(text) == loaded.query(text, naive=True)
@@ -187,13 +193,71 @@ class TestWarmIndexes:
             Database.load(stub)
 
 
+#: A container-v2 snapshot and its JSON twin, written by the last
+#: version-2 writer (commit e8c599c) from ``build_database()`` plus one
+#: insert: generation 1, 41 rows, an attribute-index section over
+#: ``type``/``title``/``year`` and a key section holding the
+#: ``{type, title}`` key index.
+V2_SNAPSHOT = Path(__file__).parent / "data" / "container_v2.bin"
+V2_JSON_TWIN = Path(__file__).parent / "data" / "container_v2.json"
+
+
+class TestContainerV2:
+    def test_loads_to_the_json_twin(self):
+        loaded = Database.load(V2_SNAPSHOT)
+        twin = Database.load(V2_JSON_TWIN)
+        assert V2_SNAPSHOT.read_bytes()[4] == 2
+        assert loaded.snapshot() == twin.snapshot()
+        assert loaded.generation == twin.generation == 1
+        assert len(loaded) == 41
+        # The old index sections are skipped; key indexes rebuild
+        # lazily on first use.
+        assert loaded._key_indexes == {}
+
+    @pytest.mark.parametrize("text", [
+        'select * where title = "T3"',
+        'select * where year >= 1985 and year < 1990',
+        'select * where exists tags',
+    ])
+    def test_queries_equal_naive(self, text):
+        loaded = Database.load(V2_SNAPSHOT)
+        assert loaded.query(text)
+        assert loaded.query(text) == loaded.query(text, naive=True)
+
+    def test_compatible_with_equals_fresh_store(self):
+        loaded = Database.load(V2_SNAPSHOT)
+        fresh = Database(Database.load(V2_JSON_TWIN).snapshot())
+        key = {"type", "title"}
+        for probe in (data("p", tup(type="Article", title="T3", extra=1)),
+                      data("q", tup(type="Article", title="Nope"))):
+            assert loaded.compatible_with(probe, key) == \
+                fresh.compatible_with(probe, key)
+        assert loaded.compatible_with(
+            data("p", tup(type="Article", title="T3")), key)
+
+    def test_truncation_inside_old_index_sections_loads(self, tmp_path):
+        import re
+
+        raw = V2_SNAPSHOT.read_bytes()
+        digest = re.search(rb"[0-9a-f]{64}", raw)
+        assert digest is not None
+        expected = Database.load(V2_JSON_TWIN).snapshot()
+        # Cut inside the attribute section, inside the key section and
+        # right after the digest.
+        for cut in (digest.end(), digest.end() + 7,
+                    (digest.end() + len(raw)) // 2, len(raw) - 3):
+            truncated = tmp_path / f"cut{cut}.bin"
+            truncated.write_bytes(raw[:cut])
+            assert Database.load(truncated).snapshot() == expected
+
+
 class TestBinaryVersioning:
     def test_container_version_rejected(self, tmp_path):
         database = build_database(entries=3)
         path = tmp_path / "db.bin"
         database.save(path, format="binary")
         raw = bytearray(path.read_bytes())
-        assert raw[4] == 2  # container version varint
+        assert raw[4] == 3  # container version varint
         raw[4] = 99
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(raw))

@@ -67,8 +67,9 @@ class TestBitPositions:
 
     def test_seeded_round_trip_at_random_densities(self):
         rng = random.Random(1885)
-        for length in (1, 7, 8, 9, 63, 65, 1001, 4099):
-            for density in (0.01, 0.2, 0.5, 0.9, 1.0):
+        for length in (1, 7, 8, 9, 63, 65, 1001, 4099, 26000):
+            # 0.0005 and 0.002 fall below the sparse threshold.
+            for density in (0.0005, 0.002, 0.01, 0.2, 0.5, 0.9, 1.0):
                 bits = 0
                 for position in range(length):
                     if rng.random() < density:
@@ -76,6 +77,25 @@ class TestBitPositions:
                 assert bit_positions(bits) == [
                     position for position in range(length)
                     if bits >> position & 1]
+
+    def test_lone_top_bit(self):
+        for top in (0, 7, 8, 127, 128, 25999, 100000):
+            assert bit_positions(1 << top) == [top]
+
+    def test_masks_at_the_sparse_threshold(self):
+        from repro.store.columnar import _SPARSE_RATIO
+
+        for count in (1, 2, 5, 40):
+            # ``count`` bits over ``count * _SPARSE_RATIO`` bytes: the
+            # first mask the dense path takes; one bit fewer is sparse.
+            top = count * _SPARSE_RATIO * 8 - 1
+            positions = [i * 8 * _SPARSE_RATIO + i % 8
+                         for i in range(count - 1)] + [top]
+            for chosen in (positions, positions[1:]):
+                bits = 0
+                for position in chosen:
+                    bits |= 1 << position
+                assert bit_positions(bits) == chosen
 
 
 class TestBuildClassification:

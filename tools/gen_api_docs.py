@@ -76,22 +76,25 @@ table (they are registered via `repro.core.intern.on_clear`), so stale
 ## Query planning semantics
 
 `repro.query.Query` executes through a small planner
-(`repro.query.planner`) whenever the query carries an attribute index:
-conditions are compiled once into closure predicates
-(`repro.query.compile.compile_condition`, memoized on the immutable
-condition instance), indexable conjuncts (`Eq`/`Exists`/`Contains` on
-indexed paths) become inverted-index probes whose candidate sets are
-intersected most-selective-first, the remaining *residual* condition
-filters only the candidates, and `order_by` + `limit` push down to a
-bounded heap selection. Queries without a usable probe fall back to a
-compiled full scan; `Query.explain()` returns the `Plan` either way.
+(`repro.query.planner`): conditions are compiled once into closure
+predicates (`repro.query.compile.compile_condition`, memoized on the
+immutable condition instance) and, where every leaf has one, into a
+bitset program (`repro.query.compile.compile_columnar`). When the query
+carries a column store (`Query.with_columns`, which `repro.store.Database`
+attaches) and the program exists, the planner runs the **columnar**
+strategy: bitset algebra over the shredded rows, with the compiled
+predicate deciding only the maybe and residue rows. Otherwise it runs
+the **row-scan** strategy, the compiled full scan. `order_by` + `limit`
+push down to a bounded heap selection either way, and `Query.explain()`
+returns the `Plan`, whose `strategy` is `columnar` or `row-scan`.
 
-The index (`repro.store.AttrIndex`) posts each datum under every value
-its indexed paths reach with **existential spread** — sets and
-or-values fan out to their members — which is exactly the quantifier
-`Condition` evaluation uses, so probes are exact, never approximate.
-`Database(index_paths=...)` / `Database.create_index()` maintain the
-postings incrementally through `insert`/`remove`/`update`/`merge_in`.
+Each column's eq-index and possible-value index map a `(type, value)`
+to the rows whose path reaches it with **existential spread** — sets
+and or-values fan out to their members — which is exactly the
+quantifier `Condition` evaluation uses, so the bitsets are exact, never
+approximate. They build on first use; `Database(index_paths=...)` /
+`Database.create_index()` build a path's indexes up front, and writes
+carry them to the next generation.
 Planned execution is observationally identical to the definitional
 scan: every run method accepts `naive=True` (the full-scan oracle), and
 `tests/properties/test_planner_differential.py` plus the committed
