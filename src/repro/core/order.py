@@ -47,6 +47,7 @@ _KIND_RANK = {
 # then numbers, then strings. bool is checked before int because bool is a
 # subclass of int.
 _ATOM_TYPE_RANK = {bool: 0, int: 1, float: 1, str: 2}
+_ATOM_KIND = _KIND_RANK["atom"]
 
 
 #: ``id(obj) -> key`` for interned objects (the pool pins the ids).
@@ -75,12 +76,7 @@ def _structural_key(obj: SSObject) -> tuple:
     if isinstance(obj, Bottom):
         return (_KIND_RANK["bottom"],)
     if isinstance(obj, Atom):
-        type_rank = _ATOM_TYPE_RANK[type(obj.value)]
-        if isinstance(obj.value, bool):
-            # Compare booleans among themselves as ints, but keep them in
-            # their own type bucket so Atom(True) != Atom(1) sorts apart.
-            return (_KIND_RANK["atom"], type_rank, int(obj.value))
-        return (_KIND_RANK["atom"], type_rank, obj.value)
+        return atom_key(obj.value)
     if isinstance(obj, Marker):
         return (_KIND_RANK["marker"], obj.name)
     if isinstance(obj, OrValue):
@@ -95,6 +91,18 @@ def _structural_key(obj: SSObject) -> tuple:
         )
         return (_KIND_RANK["tuple"], len(fields), fields)
     raise TypeError(f"not a model object: {type(obj).__name__}")
+
+
+def atom_key(value) -> tuple:
+    """``structural_key(Atom(value))`` without building the atom: what
+    the columnar kernels key a primitive from a column's value array
+    with."""
+    type_rank = _ATOM_TYPE_RANK[type(value)]
+    if type_rank == 0:
+        # Compare booleans among themselves as ints, but keep them in
+        # their own type bucket so Atom(True) != Atom(1) sorts apart.
+        return (_ATOM_KIND, 0, int(value))
+    return (_ATOM_KIND, type_rank, value)
 
 
 def sort_objects(objects: Iterable[SSObject]) -> list[SSObject]:

@@ -443,9 +443,8 @@ class Query:
         program = compile_columnar(self._condition)
         if program is None:
             return None
-        predicate = compile_condition(self._condition)
-        positions = store.match_positions(program, predicate)
-        return store, store.positions_mask(positions)
+        return store, store.match_mask(
+            program, compile_condition(self._condition))
 
     @staticmethod
     def _agg_specs(aggs: tuple, named: dict) -> dict:

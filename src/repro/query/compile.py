@@ -61,7 +61,7 @@ from repro.query.ast import (
 )
 from repro.query.paths import iter_path
 
-__all__ = ["compile_condition", "compile_columnar", "nnf", "conjuncts",
+__all__ = ["compile_condition", "compile_columnar", "nnf",
            "invalidation_profile", "join_invalidation_profile"]
 
 #: A compiled predicate over a datum's object.
@@ -80,8 +80,8 @@ def nnf(condition: Condition) -> Condition:
 
     ``Not(And(a, b))`` becomes ``Or(Not(a), Not(b))`` (De Morgan),
     double negation cancels. The rewrite preserves evaluation exactly —
-    conditions are two-valued — and exposes top-level conjuncts to the
-    planner even when the query author wrote them under a negation.
+    conditions are two-valued — and leaves the compilers and the
+    invalidation profile only leaf negations to handle.
     """
     return _nnf(condition, negate=False)
 
@@ -98,13 +98,6 @@ def _nnf(condition: Condition, negate: bool) -> Condition:
         right = _nnf(condition.right, negate)
         return And(left, right) if negate else Or(left, right)
     return Not(condition) if negate else condition
-
-
-def conjuncts(condition: Condition) -> list[Condition]:
-    """Flatten the top-level ``And`` spine of a condition."""
-    if isinstance(condition, And):
-        return conjuncts(condition.left) + conjuncts(condition.right)
-    return [condition]
 
 
 #: Positive leaf kinds: each holds only when *some* value reached by

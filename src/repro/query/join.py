@@ -61,6 +61,7 @@ from repro.query.planner import (
     plan_join,
 )
 from repro.store.cache import LRUCache
+from repro.store.columnar import bit_positions
 
 __all__ = ["JoinRow", "JoinQuery", "join_keys", "pair_match",
            "hash_join", "nested_loop_join"]
@@ -201,8 +202,6 @@ def _build_maps(side: _Side, steps: tuple[str, ...]):
     tuple-valued keys or opaque ancestors, plus the residue, walk
     per-row.
     """
-    from repro.store.columnar import bit_positions
-
     definite_map: dict = {}
     maybe_map: dict = {}
 
@@ -282,8 +281,6 @@ def hash_join(left: _Side | Sequence[Data], right: _Side | Sequence[Data],
                 emit(datum, partner, True)
 
     if probe_side.vectorized:
-        from repro.store.columnar import bit_positions
-
         store, mask = probe_side.store, probe_side.mask
         rows = store.rows
         shredded = store.universe_mask & mask
@@ -358,9 +355,8 @@ class JoinQuery:
             rows = [datum for datum in query._data()
                     if predicate(datum.object)]
             return _Side(rows)
-        positions = store.match_positions(program, predicate)
-        rows = store.rows.gather(positions)
-        return _Side(rows, store, store.positions_mask(positions))
+        mask = store.match_mask(program, predicate)
+        return _Side(store.rows.gather(bit_positions(mask)), store, mask)
 
     # -- execution -------------------------------------------------------------
 

@@ -16,7 +16,10 @@ two strategies:
    faster than ``matches``, and always available.
 
 ``order_by`` + ``limit`` push down to ``heapq.nsmallest`` / ``nlargest``
-so a top-k query never sorts the full match set.
+so a top-k query never sorts the full match set. On a columnar
+selection the sort keys of rows with a scalar entry at the order path
+come from the column's value array; only the other rows that reach a
+value there are keyed one at a time.
 
 Results are *identical* to the naive scan: columnar definite sets are
 exact by the shred invariants (every condition leaf is existential over
@@ -31,13 +34,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.data import Data, DataSet
-from repro.core.order import structural_key
+from repro.core.order import atom_key, structural_key
 from repro.query.ast import Condition
 from repro.query.compile import compile_columnar, compile_condition
 from repro.query.paths import evaluate_path
+from repro.store.columnar import bit_positions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.columnar import ColumnStore
@@ -80,6 +85,37 @@ class Plan:
         return "\n".join(self.lines)
 
 
+def _sort_key(steps: Sequence[str], descending: bool):
+    """``(sort_key, present, missing)``: the per-row sort key over a
+    path and the two flags it uses.
+
+    A row keys as ``(present, structural key of the smallest reached
+    value)``, or as ``missing`` when the path reaches nothing. The
+    flags put missing rows last in either direction: descending ranks
+    by ``nlargest``, so there present rows carry the larger flag.
+    """
+    present, missing = (1, (0,)) if descending else (0, (1,))
+
+    def sort_key(datum: Data) -> tuple:
+        values = evaluate_path(datum.object, steps, spread=True)
+        return (present, structural_key(values[0])) if values else missing
+
+    return sort_key, present, missing
+
+
+def _take(items: Sequence, key, descending: bool,
+          limit: int | None) -> list:
+    """A stable sort of ``items`` by ``key``, cut to ``limit``; with a
+    limit below ``len(items)``, a ``heapq`` top-k selection (both heapq
+    selectors are documented equivalent to a stable
+    ``sorted(...)[:n]``)."""
+    if limit is not None and limit < len(items):
+        pick = heapq.nlargest if descending else heapq.nsmallest
+        return pick(limit, items, key=key)
+    ordered = sorted(items, key=key, reverse=descending)
+    return ordered if limit is None else ordered[:limit]
+
+
 def _order_limit(selected: list[Data],
                  order: tuple[Sequence[str], bool] | None,
                  limit: int | None) -> list[Data]:
@@ -87,33 +123,44 @@ def _order_limit(selected: list[Data],
 
     Reproduces the naive semantics exactly: stable sort by the smallest
     reached value, data the path does not reach last in either
-    direction, ties in canonical order. With a limit the sort becomes a
-    ``heapq`` top-k selection (both heapq selectors are documented
-    equivalent to a stable ``sorted(...)[:n]``).
+    direction, ties in canonical order.
     """
     if order is None:
         return selected if limit is None else selected[:limit]
     steps, descending = order
+    sort_key = _sort_key(steps, descending)[0]
+    return _take(selected, sort_key, descending, limit)
 
-    if descending:
-        # Present data get the *larger* first key so nlargest ranks
-        # them before (i.e. missing data after) in descending order.
-        def sort_key(datum: Data) -> tuple:
-            values = evaluate_path(datum.object, steps, spread=True)
-            return (1, structural_key(values[0])) if values else (0,)
 
-        if limit is not None and limit < len(selected):
-            return heapq.nlargest(limit, selected, key=sort_key)
-        ordered = sorted(selected, key=sort_key, reverse=True)
-    else:
-        def sort_key(datum: Data) -> tuple:
-            values = evaluate_path(datum.object, steps, spread=True)
-            return (0, structural_key(values[0])) if values else (1,)
+def _columnar_order_limit(store: "ColumnStore", mask: int,
+                          order: tuple[Sequence[str], bool],
+                          limit: int | None) -> list[Data]:
+    """:func:`_order_limit` over the rows of a columnar selection
+    ``mask``, with the sort keys read from the column where it can.
 
-        if limit is not None and limit < len(selected):
-            return heapq.nsmallest(limit, selected, key=sort_key)
-        ordered = sorted(selected, key=sort_key)
-    return ordered if limit is None else ordered[:limit]
+    A row whose entry at the order path is a scalar
+    (:meth:`~repro.store.columnar.ColumnStore.path_masks`) keys from
+    ``Column.values``: its path reaches exactly that atom, and
+    :func:`~repro.core.order.atom_key` is the atom's structural key.
+    Irregular, tuple-interior, opaque-ancestor and residue rows take
+    the per-row key; every other row reaches nothing and takes the
+    missing key. The selection runs over row indices in canonical
+    order, so ties keep the oracle's order.
+    """
+    steps, descending = order
+    sort_key, present, missing = _sort_key(steps, descending)
+    positions, rows = store.in_canonical_order(bit_positions(mask))
+    keys: dict[int, tuple] = {}
+    column, scalar, per_row = store.path_masks(steps)
+    if column is not None:
+        scalars = bit_positions(scalar & mask)
+        keys.update(zip(scalars, [(present, atom_key(value)) for value
+                                  in column.values.gather(scalars)]))
+    slow = bit_positions((per_row | store.residue_mask) & mask)
+    keys.update(zip(slow, map(sort_key, store.rows.gather(slow))))
+    ranks = list(map(keys.get, positions, repeat(missing)))
+    chosen = _take(range(len(rows)), ranks.__getitem__, descending, limit)
+    return [rows[index] for index in chosen]
 
 
 def _resolve_columns(columns, size: int | None) -> "ColumnStore | None":
@@ -164,6 +211,9 @@ def select_data(dataset: "DataSet | Callable[[], DataSet]",
     store = (_resolve_columns(columns, size)
              if program is not None else None)
     if store is not None:
+        if order is not None:
+            return _columnar_order_limit(
+                store, store.match_mask(program, predicate), order, limit)
         selected = store.matches(program, predicate)
     else:
         selected = [datum for datum in resolve()

@@ -66,9 +66,9 @@ Stores are immutable. :meth:`ColumnStore.patched` produces the next
 generation copy-on-write: removals only set tombstone bits (scan
 results are masked, arrays never shrink eagerly), additions append,
 and past a drift threshold the store rebuilds compactly. A column's
-lazily built state — eq-index, possible-value index, scan memo — is
-the store's inverted index over attribute values, and lives as long
-as its positions do:
+lazily built state — eq-index, possible-value index, joined text,
+scan memo — is the store's inverted index over attribute values, and
+lives as long as its positions do:
 the successor inherits it (extended by the appended rows where they
 reach the column), and only the compacting rebuild, which renumbers
 positions, starts from nothing. The store-level memos never cross a
@@ -82,8 +82,9 @@ opaque entry at the cap.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -142,6 +143,25 @@ DEFAULT_SHRED_DEPTH = 8
 #: per-value ``numeric_stats`` broke even with the row loop at 7–8
 #: rows per key, and ``scalar_keys`` at about 2 (EXPERIMENTS.md).
 _PER_VALUE_RATIO = 8
+
+#: ``_scan_contains`` walks the ``str.find`` hits of the column's joined
+#: text until it has seen this many, then finishes with the row loop.
+#: On the 26k-row ``title`` column a hit cost about 0.6 µs against
+#: 55–120 ns per row of the loop, so the walk wins while hits are
+#: rarer than about one per 16 rows, and a needle that dense cannot
+#: repay a long walk. 32 covers every 4-digit needle there (at most 23
+#: hits) and kept the densest needles within 2% of the row loop; 64
+#: cost them up to 2.7% (EXPERIMENTS.md).
+_CONTAINS_HIT_BUDGET = 32
+
+#: Separates the parts of a column's joined text.
+_SEPARATOR = "\x00"
+
+#: Rows appended to a column after its joined text was built go to
+#: segments that take rows until they hold this many, so an append
+#: copies one small segment, not the text (``Column.joined_text``):
+#: about 160 KB of text and offsets on the ``title`` column.
+_TEXT_SEGMENT_ROWS = 4096
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -335,7 +355,7 @@ class Column:
 
     __slots__ = ("values", "present", "irregular", "tuples", "opaque",
                  "extras", "_eq_index", "_scan_memo", "_ordered_index",
-                 "_irr_index", "_irr_ordered")
+                 "_irr_index", "_irr_ordered", "_text")
 
     def __init__(self, values: "PagedList | list", present: int,
                  irregular: int, tuples: int, opaque: int,
@@ -352,6 +372,33 @@ class Column:
         self._ordered_index: tuple | None = None
         self._irr_index: tuple | None = None
         self._irr_ordered: tuple | None = None
+        # None until the first substring scan, () after it, then the
+        # segments of ``joined_text``.
+        self._text: tuple | None = None
+
+    def joined_text(self) -> tuple:
+        """The column's entries as text: a tuple of ``(first_row, text,
+        starts)`` segments over consecutive rows.
+
+        A segment's ``text`` is its rows' string entries joined by
+        ``"\\x00"``, every other entry an empty part; ``starts`` is
+        the ascending offset where each row's part starts, plus one
+        past the end (``len(text) + 1``), so row ``first_row + i``
+        spans ``text[starts[i]:starts[i + 1] - 1]``.
+
+        Built lazily, as one segment: the substrate of
+        :func:`_scan_contains`, which asks for it from a column's second
+        needle on (the build costs about two row loops, so a column
+        scanned once never pays for it). Like the indexes it lives as
+        long as the column's positions. :meth:`ColumnStore.patched`
+        hands the successor the same segments with the appended rows'
+        joined on (:func:`_appended_text`), so a generation shares its
+        parent's text instead of copying it.
+        """
+        text = self._text
+        if not text:
+            text = self._text = ((0, *_joined(self.values)),)
+        return text
 
     def eq_index(self) -> dict:
         """The lazily built hash index: ``(type, value) -> position
@@ -589,7 +636,8 @@ class Column:
         No entry changes, so the successor keeps this column's bitsets,
         sidecar and built indexes as they are, and a private copy of the
         scan memo (one ``dict.copy()``: readers may be inserting, and a
-        copy is never iterated half-way through an insert).
+        copy is never iterated half-way through an insert). A built
+        joined text gets one empty part per padded row.
         """
         column = Column(self.values.extended(pad), self.present,
                         self.irregular, self.tuples, self.opaque,
@@ -599,6 +647,9 @@ class Column:
         column._irr_index = self._irr_index
         column._irr_ordered = self._irr_ordered
         column._scan_memo = self._scan_memo.copy()
+        column._text = self._text and _appended_text(
+            self._text, len(self.values), _SEPARATOR * (len(pad) - 1),
+            array("q", range(len(pad) + 1)))
         return column
 
     def _extended(self, tail: "Column", shift: int) -> "Column":
@@ -608,10 +659,11 @@ class Column:
         Every lazily built structure is a position-wise function of the
         entries, so where this column built one, the successor's is
         this one OR'd with the tail's shifted up by ``shift``: the eq
-        and possible-value indexes merge per key, and each memo entry
-        is recomputed on the tail (the memo is snapshotted first, since
-        readers may be inserting). Structures this column never built,
-        and the sorted range indexes, stay lazy in the successor.
+        and possible-value indexes merge per key, the joined text gets
+        the tail's text appended, and each memo entry is recomputed on
+        the tail (the memo is snapshotted first, since readers may be
+        inserting). Structures this column never built, and the sorted
+        range indexes, stay lazy in the successor.
         """
         extras = self.extras
         if tail.extras:
@@ -635,11 +687,43 @@ class Column:
             column._irr_index = (
                 _merge_shifted(irr_index[0], buckets, shift),
                 irr_index[1] | fallback << shift)
+        column._text = self._text and _appended_text(
+            self._text, shift, *tail.joined_text()[0][1:])
         memo = column._scan_memo
         for key, bits in self._scan_memo.copy().items():
             extra = key[0](tail, key)
             memo[key] = bits | extra << shift if extra else bits
         return column
+
+
+def _joined(values: Iterable) -> tuple[str, array]:
+    """``(text, starts)`` of one joined-text segment over ``values``
+    (see :meth:`Column.joined_text`)."""
+    parts = [value if isinstance(value, str) else "" for value in values]
+    return (_SEPARATOR.join(parts),
+            array("q", accumulate(map((1).__add__, map(len, parts)),
+                                  initial=0)))
+
+
+def _appended_text(segments: tuple, first_row: int, text: str,
+                   starts: array) -> tuple:
+    """Joined-text ``segments`` followed by the segment ``(text,
+    starts)`` of the rows from ``first_row`` on (at least one row).
+
+    The new rows join the last segment when it is not the first (the
+    text built from the whole column) and holds fewer than
+    :data:`_TEXT_SEGMENT_ROWS` rows; otherwise they start a segment.
+    Either way the earlier segments are shared, not copied.
+    """
+    if len(segments) > 1:
+        last_row, last_text, last_starts = segments[-1]
+        if len(last_starts) <= _TEXT_SEGMENT_ROWS:
+            end = last_starts[-1]
+            merged = (last_row, last_text + _SEPARATOR + text,
+                      last_starts + array("q", [end + start
+                                                for start in starts[1:]]))
+            return segments[:-1] + (merged,)
+    return segments + ((first_row, text, starts),)
 
 
 def _or_shifted(bits: int, tail: int, shift: int) -> int:
@@ -666,12 +750,64 @@ def _scan_ordered(column: Column, key: tuple) -> int:
 
 
 def _scan_contains(column: Column, key: tuple) -> int:
+    """Positions whose string entry contains the needle ``key[1]``:
+    the hits of :func:`_walk_hits`, then the row loop from where the
+    walk stopped, if it did. A column's first needle takes the row
+    loop (see :meth:`Column.joined_text`). So does an empty needle: it
+    is in every string, which the joined text cannot tell apart from a
+    non-string entry's empty part."""
     needle = key[1]
-    builder = _BitBuilder(len(column.values))
-    for position, value in enumerate(column.values):
+    values = column.values
+    builder = _BitBuilder(len(values))
+    resume = 0
+    if column._text is None:
+        column._text = ()
+    elif needle:
+        resume = _walk_hits(column.joined_text(), needle, builder)
+    if resume is None:
+        return builder.value()
+    if resume < len(values) >> 5:
+        # Re-checking a short walked prefix (idempotent) costs less
+        # than ``islice``'s step per row over the rest: 2.5% of the
+        # loop on the ``title`` column.
+        resume = 0
+    rest = islice(values, resume, None) if resume else values
+    for position, value in enumerate(rest, resume):
         if isinstance(value, str) and needle in value:
             builder.set(position)
     return builder.value()
+
+
+def _walk_hits(segments: tuple, needle: str,
+               builder: _BitBuilder) -> int | None:
+    """Set the rows of joined-text ``segments`` that contain the
+    non-empty ``needle``; ``None`` when done, else the row the row loop
+    must resume from.
+
+    Walks the ``str.find`` hits of each segment and maps each to its
+    row with one bisect. A hit counts only if it ends inside that
+    row's part, and the walk then resumes at the next row: a hit that
+    crosses a separator, or a needle that contains one, never matches
+    across two rows, and every row holding the needle is found because
+    ``find`` returns its first occurrence at or past the row's start.
+    The rows before the current hit are then decided, so past
+    :data:`_CONTAINS_HIT_BUDGET` hits the walk stops there.
+    """
+    width = len(needle)
+    budget = _CONTAINS_HIT_BUDGET
+    for first_row, text, starts in segments:
+        find = text.find
+        hit = find(needle)
+        while hit >= 0:
+            row = bisect_right(starts, hit) - 1
+            if not budget:
+                return first_row + row
+            budget -= 1
+            following = starts[row + 1]
+            if hit + width < following:
+                builder.set(first_row + row)
+            hit = find(needle, following)
+    return None
 
 
 def _scan_possible_differs(column: Column, key: tuple) -> int:
@@ -1178,55 +1314,63 @@ class ColumnStore:
 
     # -- selection -------------------------------------------------------------
 
+    def match_mask(self, program, predicate:
+                   Callable[[SSObject], bool]) -> int:
+        """The live positions matching a compiled columnar ``program``,
+        as one bitset: its definite bits, plus the maybe and residue
+        rows ``predicate`` (the compiled row condition) admits."""
+        true_bits, maybe_bits = program(self)
+        check = maybe_bits | self._residue
+        if not check:
+            return true_bits
+        positions = bit_positions(check)
+        admitted = _BitBuilder(self._size)
+        for position, datum in zip(positions, self._rows.gather(positions)):
+            if predicate(datum.object):
+                admitted.set(position)
+        return true_bits | admitted.value()
+
     def match_positions(self, program, predicate:
                         Callable[[SSObject], bool]) -> list[int]:
         """Ascending live positions matching a compiled columnar
-        ``program``, with ``predicate`` (the compiled row condition)
-        deciding maybe-rows and the residue."""
-        true_bits, maybe_bits = program(self)
-        check = maybe_bits | self._residue
-        definite = bit_positions(true_bits)
-        if not check:
-            return definite
-        positions = bit_positions(check)
-        checked = [position for position, datum
-                   in zip(positions, self._rows.gather(positions))
-                   if predicate(datum.object)]
-        if not definite:
-            return checked
-        if not checked:
-            return definite
-        import heapq
+        ``program`` (:meth:`match_mask`, decoded)."""
+        return bit_positions(self.match_mask(program, predicate))
 
-        return list(heapq.merge(definite, checked))
+    def in_canonical_order(
+            self, positions: list[int]) -> tuple[list[int], list[Data]]:
+        """``(positions, rows)``: ascending ``positions`` and their rows,
+        both put in canonical data order (the row-scan order).
+
+        Rows in the :attr:`sorted_prefix` come out of the ascending
+        positions already in order. Only the rows past it are keyed and
+        sorted, and each is bisected into the prefix rows, so a patched
+        store pays O(tail · log matches) key computations, not a sort
+        of the whole selection. The rows are gathered by ascending
+        position first (:meth:`PagedList.gather` needs that) and then
+        permuted.
+        """
+        rows = self._rows.gather(positions)
+        cut = bisect_left(positions, self._sorted_prefix)
+        if cut == len(positions):
+            return positions, rows
+        head = rows[:cut]
+        keyed = sorted(zip(map(_canonical_key, rows[cut:]),
+                           range(cut, len(rows))), key=_first)
+        order: list[int] = []
+        start = 0
+        for key, index in keyed:
+            stop = bisect_left(head, key, start, key=_canonical_key)
+            order.extend(range(start, stop))
+            order.append(index)
+            start = stop
+        order.extend(range(start, cut))
+        return ([positions[index] for index in order],
+                [rows[index] for index in order])
 
     def matches(self, program, predicate:
                 Callable[[SSObject], bool]) -> list[Data]:
-        """Matching rows in canonical data order (the row-scan order).
-
-        Rows in the :attr:`sorted_prefix` come out of the ascending
-        positions already in order. Only the matched rows past it are
-        keyed and sorted, and each is bisected into the prefix rows,
-        so a patched store pays O(tail · log matches) key computations,
-        not a sort of the whole selection.
-        """
-        positions = self.match_positions(program, predicate)
-        cut = bisect_left(positions, self._sorted_prefix)
-        if cut == len(positions):
-            return self._rows.gather(positions)
-        head = self._rows.gather(positions[:cut])
-        tail = self._rows.gather(positions[cut:])
-        keyed = sorted(zip(map(_canonical_key, tail), tail),
-                       key=_first)
-        if not head:
-            return [datum for _, datum in keyed]
-        merged: list[Data] = []
-        start = 0
-        for key, datum in keyed:
-            stop = bisect_left(head, key, start, key=_canonical_key)
-            merged.extend(head[start:stop])
-            merged.append(datum)
-            start = stop
-        merged.extend(head[start:])
-        return merged
+        """Matching rows in canonical data order (see
+        :meth:`in_canonical_order`)."""
+        return self.in_canonical_order(
+            self.match_positions(program, predicate))[1]
 

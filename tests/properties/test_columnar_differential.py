@@ -49,8 +49,12 @@ from tests.store.test_columnar import warm as warm_columns
 CASES = settings(max_examples=200, deadline=None)
 
 # Small pools so equalities and shred-class collisions actually occur.
+# Two words hold the separator of the joined text the substring scan
+# walks; as a needle, "a\x00b" also spans the parts of an "a" row and a
+# "b" row there. The needles add the separator and the empty needle.
 LABELS = ("type", "author", "year", "title")
-WORDS = ("a", "b", "ab", "ba")
+WORDS = ("a", "b", "ab", "ba", "a\x00b", "b\x00")
+NEEDLES = WORDS + ("", "\x00")
 YEARS = (1, 2, 3)
 
 atom_values = st.one_of(st.sampled_from(WORDS), st.sampled_from(YEARS))
@@ -100,7 +104,7 @@ leaf_conditions = st.one_of(
     st.builds(Eq, paths, atom_values),
     st.builds(Ne, paths, atom_values),
     st.builds(Exists, paths),
-    st.builds(Contains, paths, st.sampled_from(WORDS)),
+    st.builds(Contains, paths, st.sampled_from(NEEDLES)),
     st.builds(Lt, st.just("year"), st.sampled_from(YEARS)),
     st.builds(Ge, st.just("year"), st.sampled_from(YEARS)),
 )
@@ -134,6 +138,24 @@ def test_columnar_matches_naive_on_rich_objects(dataset, condition):
 
 
 @CASES
+@given(rich_datasets(), st.one_of(st.just(Not(Exists("missing"))),
+                                  conditions),
+       st.sampled_from(("A", "B", "C", "A.B", "B.C")), st.booleans(),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+def test_columnar_order_matches_naive_on_rich_objects(dataset, condition,
+                                                      order, descending,
+                                                      limit):
+    """Sort keys over residue rows, field-less rows and irregular
+    entries at the order path (``ObjectGenerator``'s labels)."""
+    query = (Query(dataset).where(condition)
+             .with_columns(ColumnStore.build(dataset))
+             .order_by(order, descending=descending))
+    if limit is not None:
+        query = query.limit(limit)
+    assert query.rows() == query.rows(naive=True)
+
+
+@CASES
 @given(datasets(), conditions,
        st.sampled_from(LABELS), st.booleans(),
        st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
@@ -150,13 +172,16 @@ def test_columnar_ordered_limited_rows_match_naive(dataset, condition,
 
 def _warmed(dataset, paths):
     """A column store with the eq-index and possible-value index of
-    each path's column built up front (``Database.create_index``)."""
+    each path's column built up front (``Database.create_index``), and
+    its joined text, so substring leaves walk it from the first
+    needle."""
     store = ColumnStore.build(dataset)
     for path in paths:
         column = store.column((path,))
         if column is not None:
             column.eq_index()
             column.possible_index()
+            column.joined_text()
     return store
 
 
@@ -195,7 +220,7 @@ def warm(store, live, condition, group, aggs):
     mask = store.universe_mask | store.residue_mask
     assert group_aggregate_columnar(store, mask, group, aggs) \
         == group_aggregate_rows(dataset, group, aggs)
-    warm_columns(store, WORDS + YEARS + (True, 1.0), WORDS)
+    warm_columns(store, WORDS + YEARS + (True, 1.0), NEEDLES)
 
 
 def assert_matches_fresh(store, live, condition, group, aggs):
@@ -339,7 +364,7 @@ nested_leaf_conditions = st.one_of(
     st.builds(Eq, nested_paths, atom_values),
     st.builds(Ne, nested_paths, atom_values),
     st.builds(Exists, nested_paths),
-    st.builds(Contains, nested_paths, st.sampled_from(WORDS)),
+    st.builds(Contains, nested_paths, st.sampled_from(NEEDLES)),
     st.builds(Lt, nested_paths, st.sampled_from(YEARS)),
     st.builds(Ge, nested_paths, st.sampled_from(YEARS)),
 )

@@ -40,8 +40,12 @@ from repro.store import ColumnStore
 CASES = settings(max_examples=300, deadline=None)
 
 # Small pools so equalities, index hits and order ties actually occur.
+# Two words hold the separator of the joined text the substring scan
+# walks; as a needle, "a\x00b" also spans the parts of an "a" row and a
+# "b" row there. The needles add the separator and the empty needle.
 LABELS = ("type", "author", "year", "title")
-WORDS = ("a", "b", "ab", "ba")
+WORDS = ("a", "b", "ab", "ba", "a\x00b", "b\x00")
+NEEDLES = WORDS + ("", "\x00")
 YEARS = (1, 2, 3)
 
 atom_values = st.one_of(st.sampled_from(WORDS), st.sampled_from(YEARS))
@@ -76,7 +80,7 @@ leaf_conditions = st.one_of(
     st.builds(Eq, paths, atom_values),
     st.builds(Ne, paths, atom_values),
     st.builds(Exists, paths),
-    st.builds(Contains, paths, st.sampled_from(WORDS)),
+    st.builds(Contains, paths, st.sampled_from(NEEDLES)),
     st.builds(Lt, st.just("year"), st.sampled_from(YEARS)),
     st.builds(Ge, st.just("year"), st.sampled_from(YEARS)),
 )
@@ -92,9 +96,9 @@ def _combine(children):
 
 conditions = st.recursive(leaf_conditions, _combine, max_leaves=6)
 
-# No column store (the row scan), or a column store whose indexes are
-# built up front on none, some or all of the queried paths (the rest
-# build lazily during evaluation).
+# No column store (the row scan), or a column store whose indexes and
+# joined texts are built up front on none, some or all of the queried
+# paths (the rest build lazily during evaluation).
 index_choices = st.sampled_from(
     (None, (), ("type",), ("type", "author"), LABELS))
 
@@ -108,6 +112,7 @@ def _query(dataset, condition, index_paths):
             if column is not None:
                 column.eq_index()
                 column.possible_index()
+                column.joined_text()
         query = query.with_columns(store)
     return query
 
@@ -128,6 +133,41 @@ def test_ordered_limited_rows_match_naive(dataset, condition,
                                           descending, limit):
     query = _query(dataset, condition, index_paths).order_by(
         order, descending=descending)
+    if limit is not None:
+        query = query.limit(limit)
+    assert query.rows() == query.rows(naive=True)
+
+
+@st.composite
+def interleaved_appends(draw):
+    """Rows to append to a :func:`datasets` store whose canonical
+    order interleaves the store's rows: marker ``m3+0`` sorts between
+    ``m3`` and ``m4``, ``l`` before ``m0`` and ``n`` after them all."""
+    spots = draw(st.lists(st.sampled_from(
+        ("l",) + tuple(f"m{i}+" for i in range(8)) + ("n",)),
+        min_size=1, max_size=8))
+    objects = draw(st.lists(tuples, min_size=len(spots),
+                            max_size=len(spots)))
+    return [Data(Marker(f"{spot}{i}"), obj)
+            for i, (spot, obj) in enumerate(zip(spots, objects))]
+
+
+@CASES
+@given(datasets(), interleaved_appends(),
+       st.one_of(st.just(Not(Exists("missing"))), conditions),
+       st.sampled_from(LABELS), st.booleans(),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+def test_order_over_appends_past_the_sorted_prefix(initial, appended,
+                                                   condition, order,
+                                                   descending, limit):
+    """A patched store's appended rows sit past its sorted prefix, in
+    pages of their own, while their canonical order interleaves the
+    prefix rows: order keys read from the columns must still follow
+    the rows, and ties canonical order."""
+    store = ColumnStore.build(initial).patched((), appended)
+    assert store.sorted_prefix == len(initial) < store.size
+    query = (Query(DataSet(list(initial) + appended)).where(condition)
+             .with_columns(store).order_by(order, descending=descending))
     if limit is not None:
         query = query.limit(limit)
     assert query.rows() == query.rows(naive=True)

@@ -18,7 +18,7 @@ from repro.query.ast import (
     Not,
     Or,
 )
-from repro.query.compile import compile_condition, conjuncts, nnf
+from repro.query.compile import compile_condition, nnf
 
 OBJECTS = [
     tup(type="Article", title="Oracle", author="Bob", year=1980),
@@ -104,13 +104,6 @@ def test_nnf_pushes_negation_to_leaves():
                 tup(b=2, c=4)):
         assert rewritten.matches(obj) == Not(
             And(Eq("a", 1), Or(Eq("b", 2), Not(Eq("c", 3))))).matches(obj)
-
-
-def test_conjuncts_flattens_the_and_spine():
-    parts = conjuncts(And(And(Eq("a", 1), Eq("b", 2)),
-                          Or(Eq("c", 3), Eq("d", 4))))
-    assert len(parts) == 3
-    assert isinstance(parts[2], Or)
 
 
 def test_custom_condition_subclass_falls_back_to_matches():

@@ -403,6 +403,169 @@ class TestValueFolds:
             column.eq_index()
 
 
+def contains_oracle(values, needle):
+    """The per-row definition ``_scan_contains`` must equal."""
+    return sum(1 << position for position, value in enumerate(values)
+               if isinstance(value, str) and needle in value)
+
+
+def flat_text(segments):
+    """Joined-text segments as the one ``(text, starts)`` pair a fresh
+    build of the same rows makes."""
+    text = []
+    starts = [0]
+    for first_row, part, part_starts in segments:
+        assert first_row == len(starts) - 1
+        text.append(part)
+        base = starts[-1]
+        starts.extend(base + start for start in part_starts[1:])
+    return "\x00".join(text), starts
+
+
+def title_column(size):
+    """``size`` rows: 4-digit titles, a non-string entry every 7th row
+    and an empty string every 11th, so parts of both kinds are empty."""
+    values = []
+    for position in range(size):
+        if position % 7 == 3:
+            values.append(position)
+        elif position % 11 == 5:
+            values.append("")
+        else:
+            values.append(f"t{position:04d} x")
+    return values
+
+
+class TestContainsScan:
+    """``_scan_contains`` walks the ``str.find`` hits of the column's
+    joined text up to ``_CONTAINS_HIT_BUDGET`` and finishes past it
+    with the row loop; either way it equals the row loop."""
+
+    SIZE = 2400
+
+    @staticmethod
+    def scan(column, needle):
+        return columnar._scan_contains(column,
+                                       (columnar._scan_contains, needle))
+
+    def test_text_is_built_from_the_second_needle_on(self):
+        values = title_column(self.SIZE)
+        column = Column(values, 0, 0, 0, 0, {})
+        assert column.contains_bits("t01") == contains_oracle(values,
+                                                              "t01")
+        assert column._text == ()
+        assert column.contains_bits("t02") == contains_oracle(values,
+                                                              "t02")
+        assert len(column._text) == 1
+
+    def test_both_sides_of_the_budget_equal_the_row_loop(self):
+        values = title_column(self.SIZE)
+        column = Column(values, 0, 0, 0, 0, {})
+        column.joined_text()
+        budget = columnar._CONTAINS_HIT_BUDGET
+        # 0, 1 and 8 hits; 78 past the budget; dense (the row loop
+        # restarts at row 0); 78 late ones (it resumes mid-column).
+        hits = {"zz": 0, "t0123": 1, "t000": 8, "t01": 78, " x": 1870,
+                "t23": 78}
+        for needle, count in hits.items():
+            expected = contains_oracle(values, needle)
+            assert expected.bit_count() == count, needle
+            assert self.scan(column, needle) == expected, needle
+            resume = columnar._walk_hits(column.joined_text(), needle,
+                                         columnar._BitBuilder(self.SIZE))
+            assert (resume is None) == (count <= budget), needle
+
+    def test_empty_needle_matches_every_string_entry(self):
+        values = title_column(self.SIZE)
+        column = Column(values, 0, 0, 0, 0, {})
+        column.joined_text()
+        expected = contains_oracle(values, "")
+        assert expected.bit_count() == sum(
+            isinstance(value, str) for value in values)
+        assert self.scan(column, "") == expected
+
+    def test_separator_in_needles_and_values(self):
+        values = ["a", "b", "a\x00b", "\x00", None, "xa", "b\x00a",
+                  7, "", "a\x00"] * 250
+        column = Column(values, 0, 0, 0, 0, {})
+        column.joined_text()
+        # "a" + separator + "b" spans rows 0 and 1 in the joined text;
+        # only a value holding the separator itself may match.
+        for needle in ("\x00", "a\x00b", "b\x00a", "a\x00", "\x00a",
+                       "x", "ab", "a", "\x00\x00"):
+            assert self.scan(column, needle) == contains_oracle(
+                values, needle), repr(needle)
+
+    def test_carried_text_equals_a_fresh_build(self, monkeypatch):
+        # Small segments, so the appends below both join the last
+        # segment and start new ones.
+        monkeypatch.setattr(columnar, "_TEXT_SEGMENT_ROWS", 3)
+        data = [flat(f"m{i:05d}", title=value, year=i)
+                for i, value in enumerate(title_column(self.SIZE))]
+        store = ColumnStore.build(DataSet(data))
+        for needle in ("t01", "t02"):
+            store.column(("title",)).contains_bits(needle)
+            store.column(("year",)).contains_bits(needle)
+        assert store.column(("title",))._text
+        rows = list(data)
+        for step in range(6):
+            # Titled rows reach the title column (``_extended``);
+            # title-less ones pad it (``_padded``).
+            added = ([flat(f"n{step}a", title=f"t01 new{step}", year=1),
+                      flat(f"n{step}b", title=f"\x00{step}", year=2)]
+                     if step % 2 == 0 else
+                     [flat(f"n{step}c{k}", year=3) for k in range(step)])
+            store = store.patched([], added)
+            rows.extend(added)
+        column = store.column(("title",))
+        assert len(column.joined_text()) > 2
+        fresh = Column(column.values, column.present, column.irregular,
+                       column.tuples, column.opaque, column.extras)
+        fresh_text = fresh.joined_text()
+        assert len(fresh_text) == 1
+        text, starts = flat_text(column.joined_text())
+        assert text == fresh_text[0][1]
+        assert starts == list(fresh_text[0][2])
+        for path in (("title",), ("year",)):
+            assert_carried_state_exact(store.column(path))
+        for needle in ("t01", "new", "\x00", "", "zz", "t0123 x"):
+            expected = contains_oracle(column.values, needle)
+            assert column.contains_bits(needle) == expected
+            query = (Query(DataSet(rows)).where(Contains("title", needle))
+                     .with_columns(store))
+            assert query.run() == query.run(naive=True)
+
+
+class TestMatchMask:
+    def test_equals_the_decoded_positions_reencoded(self):
+        class OddTuple(Tuple):
+            pass
+
+        rows = list(library()) + [
+            datum("res2", OddTuple({"type": atom("Article"),
+                                    "title": atom("odd foo")})),
+            datum("ref1", tup(type=orv(Marker("m1"), "Article"),
+                              title=orv(Marker("m2"), "foo x"))),
+            datum("ref2", tup(type=atom("Book"), title=Marker("m3"))),
+        ]
+        store = ColumnStore.build(rows, ordered=False)
+        assert store.residue_count == 1
+        assert store.column(("title",)).fallback_bits()
+        from repro.query.compile import compile_columnar, compile_condition
+
+        for condition in (Eq("type", "Article"), Contains("title", "foo"),
+                          ~Eq("type", "Book"), Exists("venue.name"),
+                          Eq("type", "Article") & ~Contains("title", "o")):
+            program = compile_columnar(condition)
+            predicate = compile_condition(condition)
+            mask = store.match_mask(program, predicate)
+            positions = store.match_positions(program, predicate)
+            assert mask == store.positions_mask(positions)
+            assert positions == [
+                position for position, row in enumerate(store.rows)
+                if condition.matches(row.object)]
+
+
 class TestPatched:
     def test_remove_tombstones(self):
         data = list(library())
@@ -510,7 +673,7 @@ class TestPatched:
 
 
 def warm(store, values=(1990, 1991, 2001, True, 1.0, "Article", "bob"),
-         needles=("o", "ba", "Art")):
+         needles=("o", "ba", "Art", "", "\x00")):
     """Build every lazy structure of every column and fill its scan
     memo through every probe, once per value or needle."""
     for path in store.paths:
@@ -537,6 +700,10 @@ def assert_carried_state_exact(column):
         assert column._eq_index == fresh.eq_index()
     if column._irr_index is not None:
         assert column._irr_index == fresh.possible_index()
+    if column._text:
+        text, starts = flat_text(column._text)
+        fresh_text = fresh.joined_text()[0]
+        assert text == fresh_text[1] and starts == list(fresh_text[2])
     for key, bits in column._scan_memo.items():
         assert bits == key[0](fresh, key), key
 
