@@ -1,28 +1,26 @@
-"""Benchmark S5: ablation of the key index against the naive
-Definition 12 pairing (DESIGN.md design-choice study).
+"""Benchmark S5: ablation of the fast Definition 12 pairing against the
+naive all-pairs scan (DESIGN.md design-choice study).
 
-Asserts the indexed operations return bit-identical results while
-pairing in O(n + m) instead of O(n·m).
+Asserts that signature-blocked ``∪K`` and the key-indexed ``∩K``/``−K``
+return bit-identical results while pairing in O(n + m) instead of
+O(n·m).
 """
 
 import pytest
 
-from repro.store.ops import (
-    indexed_difference,
-    indexed_intersection,
-    indexed_union,
-)
+from repro.store.bulk import blocked_union
+from repro.store.ops import indexed_difference, indexed_intersection
 
 
 @pytest.mark.parametrize("fixture_name",
                          ["workload_100", "workload_300",
                           "workload_1000"])
-def test_indexed_union(benchmark, request, fixture_name):
+def test_blocked_union(benchmark, request, fixture_name):
     workload = request.getfixturevalue(fixture_name)
     s1, s2 = workload.sources
 
     merged = benchmark.pedantic(
-        lambda: indexed_union(s1, s2, workload.key), rounds=3,
+        lambda: blocked_union((s1, s2), workload.key), rounds=3,
         iterations=1)
     assert merged == s1.union(s2, workload.key)
 

@@ -3,19 +3,18 @@
 
 The workload is ``workloads.bibgen``: 8 synthetic BibTeX sources drawn
 from a 10k-entry ground-truth universe (~2.7k entries per source with
-30% multi-source overlap). The same merge runs through every engine
-strategy:
+30% multi-source overlap). The same merge runs through both engine
+strategies:
 
 * ``naive`` — the pairwise per-class fold with the definitional
   :meth:`DataSet.union` scans (the engine's original shape, the
   baseline);
-* ``indexed`` — the same pairwise fold probing a per-step key index;
 * ``blocked`` — the k-way signature-blocked pipeline
   (:func:`repro.store.bulk.blocked_union`).
 
 Two contracts are enforced on every run, full and smoke:
 
-* every strategy's result is structurally equal to the naive fold;
+* the blocked result is structurally equal to the naive fold;
 * a differential-oracle merge on a smaller workload compares the
   blocked pipeline against the ``naive=True`` definitional fold (the
   untouched Definition 12 reference code).
@@ -87,15 +86,11 @@ def run(entries: int, sources: int, oracle_entries: int) -> dict:
         conflict_rate=0.25, partial_author_rate=0.3, seed=7))
 
     naive_seconds, naive = _merge(workload.sources, "naive")
-    indexed_seconds, indexed = _merge(workload.sources, "indexed")
     blocked_seconds, blocked = _merge(workload.sources, "blocked")
 
     # The structural contract, enforced on every benchmark run: one
-    # fold, three organizations, identical results.
-    equal = {
-        "indexed": indexed.dataset == naive.dataset,
-        "blocked": blocked.dataset == naive.dataset,
-    }
+    # fold, two organizations, identical results.
+    equal = {"blocked": blocked.dataset == naive.dataset}
     expected_size = workload.expected_result_size()
     return {
         "benchmark": "merge_pipeline",
@@ -108,10 +103,8 @@ def run(entries: int, sources: int, oracle_entries: int) -> dict:
             "expected_result_rows": expected_size,
         },
         "naive_seconds": round(naive_seconds, 6),
-        "indexed_seconds": round(indexed_seconds, 6),
         "blocked_seconds": round(blocked_seconds, 6),
         "speedup_blocked": round(naive_seconds / blocked_seconds, 2),
-        "speedup_indexed": round(naive_seconds / indexed_seconds, 2),
         "results_equal": equal,
         "ground_truth_size_ok": len(naive.dataset) == expected_size,
         "oracle": _oracle_check(oracle_entries, min(sources, 4), seed=3),

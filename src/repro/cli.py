@@ -399,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="comment",
                        help="BibTeX rendering of or-values")
     merge.add_argument("--strategy",
-                       choices=("naive", "indexed", "blocked"),
+                       choices=("naive", "blocked"),
                        default="blocked",
                        help="fold organization (identical results; "
                             "default: blocked)")

@@ -16,11 +16,11 @@ same per-class key handling.
 
 The fold itself is organized by ``MergeSpec.strategy``: the default
 ``"blocked"`` strategy hands each class partition to the k-way
-signature-blocked pipeline (:func:`repro.store.bulk.blocked_union`),
-``"indexed"`` runs the pairwise fold through the key index, and
-``"naive"`` keeps the definitional :meth:`DataSet.union` scans. All
-strategies produce structurally identical results — the fold order is
-the source registration order in every case, which matters because
+signature-blocked pipeline (:func:`repro.store.bulk.blocked_union`) and
+pairs ``∩K``/``−K`` through the key index (:mod:`repro.store.ops`);
+``"naive"`` keeps the definitional :meth:`DataSet` scans for all three.
+Both strategies produce structurally identical results — the fold order
+is the source registration order in either case, which matters because
 ``∪K`` is commutative but not associative.
 """
 
@@ -34,11 +34,7 @@ from repro.merge.conflicts import Conflict, Gap, find_conflicts, find_gaps
 from repro.merge.provenance import SourceCatalog
 from repro.merge.spec import MergeSpec
 from repro.store.bulk import blocked_union
-from repro.store.ops import (
-    indexed_difference,
-    indexed_intersection,
-    indexed_union,
-)
+from repro.store.ops import indexed_difference, indexed_intersection
 
 __all__ = ["MergeEngine", "MergeResult", "MergeStats"]
 
@@ -118,15 +114,16 @@ class MergeEngine:
         return {name: DataSet(data) for name, data in classes.items()}
 
     def _combine(self, first: DataSet, second: DataSet,
-                 operation: str, *, use_index: bool | None = None) -> DataSet:
+                 operation: str) -> DataSet:
         """Apply a Definition 12 operation per class partition.
 
-        Pairing runs through :mod:`repro.store.ops` (identical results,
-        index-accelerated) unless the spec's strategy is ``"naive"`` or
-        ``use_index=False`` forces the definitional scans.
+        ``∩K`` and ``−K`` pair through :mod:`repro.store.ops` (identical
+        results, index-accelerated) unless the spec's strategy is
+        ``"naive"``. Only the naive fold reaches the union branch (the
+        blocked fold never pairs two sets at a time), so it keeps the
+        definitional scan.
         """
-        if use_index is None:
-            use_index = self._spec.strategy != "naive"
+        fast = self._spec.strategy != "naive"
         first_parts = self._partition(first)
         second_parts = self._partition(second)
         result: list[Data] = []
@@ -135,22 +132,19 @@ class MergeEngine:
             left = first_parts.get(class_name, DataSet())
             right = second_parts.get(class_name, DataSet())
             if operation == "union":
-                combined = (indexed_union(left, right, key) if use_index
-                            else left.union(right, key))
+                combined = left.union(right, key)
             elif operation == "intersection":
-                combined = (indexed_intersection(left, right, key)
-                            if use_index
+                combined = (indexed_intersection(left, right, key) if fast
                             else left.intersection(right, key))
             else:
-                combined = (indexed_difference(left, right, key)
-                            if use_index
+                combined = (indexed_difference(left, right, key) if fast
                             else left.difference(right, key))
             result.extend(combined)
         return DataSet(result)
 
     def _union_all(self, sources: list[DataSet]) -> DataSet:
         """Fold ``∪K`` over the sources under the spec's strategy."""
-        if self._spec.strategy != "blocked":
+        if self._spec.strategy == "naive":
             merged = sources[0]
             for source in sources[1:]:
                 merged = self._combine(merged, source, "union")

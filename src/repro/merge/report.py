@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.compatibility import check_key, compatible_data
+from repro.core.compatibility import check_key
 from repro.core.data import Data, DataSet
 from repro.core.objects import BOTTOM, SSObject, Tuple
 from repro.store.index import KeyIndex
@@ -91,8 +91,7 @@ def change_report(old: DataSet, new: DataSet,
     index = KeyIndex(new, checked)
     matched_new: set[Data] = set()
     for datum in old:
-        partners = [candidate for candidate in index.candidates(datum)
-                    if compatible_data(datum, candidate, checked)]
+        partners = index.partners(datum)
         if not partners:
             report.removed.append(datum)
             continue

@@ -29,10 +29,10 @@ __all__ = ["MergeSpec"]
 #: Class name used for data whose object is not a tuple or has no type.
 UNCLASSIFIED = "<unclassified>"
 
-#: Fold strategies the engine understands. All three produce
-#: structurally identical results; they differ only in how the
-#: Definition 12 pairing work is organized.
-STRATEGIES = ("naive", "indexed", "blocked")
+#: Fold strategies the engine understands. Both produce structurally
+#: identical results; they differ only in how the Definition 12 pairing
+#: work is organized.
+STRATEGIES = ("naive", "blocked")
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ class MergeSpec:
         default_key: key used for classes without an override.
         type_attribute: tuple attribute that names a datum's class.
         per_class: class name → key override.
-        strategy: how the engine organizes the ``∪K`` fold — ``"naive"``
-            (pairwise :meth:`DataSet.union` scans), ``"indexed"``
-            (pairwise folds through the key index) or ``"blocked"``
-            (the k-way signature-blocked pipeline of
-            :mod:`repro.store.bulk`, the default). Results are
-            structurally identical under every strategy.
+        strategy: how the engine organizes the Definition 12 pairing —
+            ``"naive"`` (the definitional all-pairs :class:`DataSet`
+            scans) or ``"blocked"`` (the default: the k-way
+            signature-blocked ``∪K`` fold of :mod:`repro.store.bulk`,
+            and ``∩K``/``−K`` through the key index). Results are
+            structurally identical under both.
 
     The type attribute is implicitly part of every key (like in the
     paper's Example 6, where ``K = {type, title}``): the engine partitions

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.compatibility import check_key, compatible_data
+from repro.core.compatibility import check_key
 from repro.core.data import Data, DataSet
 from repro.merge.conflicts import Conflict, find_conflicts
 from repro.store.index import KeyIndex
@@ -59,10 +59,8 @@ class SyncResult:
         return not self.conflicts
 
 
-def _partner(datum: Data, index: KeyIndex,
-             key: frozenset[str]) -> Data | None:
-    candidates = [candidate for candidate in index.candidates(datum)
-                  if compatible_data(datum, candidate, key)]
+def _partner(datum: Data, index: KeyIndex) -> Data | None:
+    candidates = index.partners(datum)
     if not candidates:
         return None
     return sorted(candidates, key=repr)[0]
@@ -83,8 +81,8 @@ def sync(base: DataSet, mine: DataSet, theirs: DataSet,
     seen_theirs: set[Data] = set()
 
     for ancestor in base:
-        in_mine = _partner(ancestor, mine_index, checked)
-        in_theirs = _partner(ancestor, theirs_index, checked)
+        in_mine = _partner(ancestor, mine_index)
+        in_theirs = _partner(ancestor, theirs_index)
         if in_mine is not None:
             seen_mine.add(in_mine)
         if in_theirs is not None:
@@ -125,16 +123,16 @@ def sync(base: DataSet, mine: DataSet, theirs: DataSet,
 
     for datum in mine:
         if datum not in seen_mine and \
-                _partner(datum, base_index, checked) is None:
+                _partner(datum, base_index) is None:
             result.append(datum)
             added += 1
     for datum in theirs:
         if datum in seen_theirs or \
-                _partner(datum, base_index, checked) is not None:
+                _partner(datum, base_index) is not None:
             continue
         # Entries added on both sides can still describe one entity:
         # combine them instead of duplicating.
-        mine_twin = _partner(datum, mine_index, checked)
+        mine_twin = _partner(datum, mine_index)
         if mine_twin is not None and mine_twin in result:
             result.remove(mine_twin)
             combined = mine_twin.union(datum, checked)

@@ -5,11 +5,14 @@ The paper defers implementation; this package provides it:
 * :class:`~repro.store.index.KeyIndex` — hash index over key signatures
   (compatibility is plain equality for indexable kinds; see the module
   docs for the exceptions);
-* :func:`~repro.store.ops.indexed_union` et al. — Definition 12 in
-  O(n + m) instead of O(n·m), bit-identical results (ablation S5);
-* :func:`~repro.store.bulk.blocked_union` /
-  :class:`~repro.store.bulk.IncrementalUnion` — the k-way
-  signature-blocked bulk-merge pipeline;
+* :func:`~repro.store.bulk.blocked_union` — ``∪K`` as a k-way
+  signature-blocked left fold of whole sources (the merge engine's
+  default; ablation S5), and :func:`~repro.store.bulk.union_diff`, one
+  ``∪K`` step into an indexed store as the net
+  :class:`~repro.store.bulk.UnionDiff` behind ``Database.merge_in``;
+* :func:`~repro.store.ops.indexed_intersection` /
+  :func:`~repro.store.ops.indexed_difference` — ``∩K``/``−K`` in
+  O(n + m) instead of O(n·m), bit-identical results;
 * :class:`~repro.store.database.Database` — an updatable, file-backed
   collection with incrementally maintained marker and key indexes,
   MVCC generation snapshots (:class:`~repro.store.database.DatabaseView`
@@ -30,12 +33,7 @@ The paper defers implementation; this package provides it:
   ``Database.create_index``, and carried across writes.
 """
 
-from repro.store.bulk import (
-    IncrementalUnion,
-    UnionDiff,
-    blocked_union,
-    fold_union,
-)
+from repro.store.bulk import UnionDiff, blocked_union
 from repro.store.cache import LRUCache, QueryResultCache
 from repro.store.columnar import (
     Column,
@@ -49,11 +47,7 @@ from repro.store.index import (
     KeyIndex,
     signature,
 )
-from repro.store.ops import (
-    indexed_difference,
-    indexed_intersection,
-    indexed_union,
-)
+from repro.store.ops import indexed_difference, indexed_intersection
 from repro.store.fsutil import fsync_directory
 from repro.store.wal import (
     CommitTicket,
@@ -66,8 +60,8 @@ from repro.store.wal import (
 
 __all__ = [
     "KeyIndex", "signature", "NEVER_MATCHES", "UNINDEXABLE",
-    "indexed_union", "indexed_intersection", "indexed_difference",
-    "blocked_union", "fold_union", "IncrementalUnion", "UnionDiff",
+    "indexed_intersection", "indexed_difference",
+    "blocked_union", "UnionDiff",
     "Database", "DatabaseView", "LRUCache", "QueryResultCache",
     "WriteAheadLog", "WalFrame", "WalScan", "scan_wal",
     "CommitTicket", "GroupCommitter", "fsync_directory",

@@ -19,14 +19,13 @@ only ever pair with each other and fold pairwise in one scan block;
 never-matching data (``⊥``/partial set under a key attribute) pass
 through untouched.
 
-**Incremental accumulation** (:class:`IncrementalUnion` /
-:func:`fold_union`). The alternative shape for ingest-style workloads: a
-mutable accumulator whose :class:`~repro.store.index.KeyIndex` is
-maintained one datum at a time across the whole fold, so each
-``∪K``-step probes a live index instead of rebuilding one. Each step
-returns the exact :class:`UnionDiff` (data removed, data added), which
-lets a :class:`~repro.store.database.Database` patch its marker and key
-indexes instead of rebuilding them.
+**One step into a live store** (:func:`union_diff`). The other shape
+of ``∪K``: one source folded into a set that already has a
+:class:`~repro.store.index.KeyIndex`, as
+:meth:`~repro.store.database.Database.merge_in` does. The step probes
+that index and returns the exact :class:`UnionDiff` (data removed, data
+added), which lets the store patch its marker and key indexes instead
+of rebuilding them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.core.data import Data, DataSet
 from repro.store.index import NEVER_MATCHES, UNINDEXABLE, KeyIndex, signature
 from repro.store.ops import _same_datum
 
-__all__ = ["blocked_union", "fold_union", "IncrementalUnion", "UnionDiff"]
+__all__ = ["blocked_union", "UnionDiff"]
 
 #: A block's per-source contributions, in source order. Sources that
 #: contribute nothing to a block are skipped (an empty operand leaves a
@@ -100,9 +99,10 @@ def _fold_block(slabs: _Slabs, key: frozenset[str]) -> list[Data]:
 def _fold_scan(slabs: _Slabs, key: frozenset[str]) -> list[Data]:
     """Fold the scan block (tuple-valued key attributes) pairwise.
 
-    Same shape as :func:`~repro.store.ops.indexed_union` per step, minus
-    the index: scan data only ever pair with scan data, and their unions
-    keep a tuple under the key attribute, so the block stays closed.
+    Each step pairs the accumulator with the next slab by a compatibility
+    scan: scan data only ever pair with scan data, and their unions keep
+    a tuple under the key attribute, so the block stays closed. Matched
+    slab data are tracked by identity; unmatched ones join the step.
     """
     state: Iterable[Data] = slabs[0]
     for rows in slabs[1:]:
@@ -158,7 +158,7 @@ def blocked_union(sources: Iterable[DataSet | Iterable[Data]],
 
 
 # ---------------------------------------------------------------------------
-# Incremental accumulation
+# One step into a live store
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -168,25 +168,22 @@ class UnionDiff:
     removed: tuple[Data, ...]
     added: tuple[Data, ...]
 
-    @property
-    def unchanged(self) -> bool:
-        return not self.removed and not self.added
-
 
 def union_diff(current: AbstractSet[Data], index: KeyIndex,
-               source: DataSet, key: frozenset[str]) -> UnionDiff:
+               source: DataSet) -> UnionDiff:
     """Diff form of ``current ∪K source`` probed through ``index``.
 
-    ``index`` must index exactly ``current``. Matched accumulator data
-    are replaced by their Definition 11 unions; unmatched source data
-    join. The diff is *net*: a datum produced by the step that already
-    sits in ``current`` is neither removed nor added.
+    ``index`` must index exactly ``current``; its key is the ``K`` of
+    the step. Matched accumulator data are replaced by their
+    Definition 11 unions; unmatched source data join. The diff is
+    *net*: a datum produced by the step that already sits in
+    ``current`` is neither removed nor added.
     """
+    key = index.key
     to_remove: set[Data] = set()
     to_add: set[Data] = set()
     for datum in source:
-        partners = [candidate for candidate in index.candidates(datum)
-                    if compatible_data(datum, candidate, key)]
+        partners = index.partners(datum)
         if not partners:
             to_add.add(datum)
             continue
@@ -198,62 +195,3 @@ def union_diff(current: AbstractSet[Data], index: KeyIndex,
         removed=tuple(datum for datum in to_remove if datum not in to_add),
         added=tuple(datum for datum in to_add if datum not in current),
     )
-
-
-class IncrementalUnion:
-    """A mutable ``∪K`` accumulator with a continuously maintained index.
-
-    Where :func:`blocked_union` restructures a whole k-way fold,
-    this class serves ingest loops: the accumulator's
-    :class:`~repro.store.index.KeyIndex` is built once and patched per
-    step, so folding n sources probes live indexes instead of rebuilding
-    one per step. Results are identical to the naive fold.
-    """
-
-    def __init__(self, initial: Iterable[Data] = (),
-                 key: Iterable[str] = ()):
-        self._key = check_key(key)
-        self._data: set[Data] = set(initial)
-        self._index = KeyIndex(self._data, self._key)
-
-    @property
-    def key(self) -> frozenset[str]:
-        return self._key
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, datum: object) -> bool:
-        return datum in self._data
-
-    def result(self) -> DataSet:
-        """The accumulated ``∪K`` fold so far."""
-        return DataSet(self._data)
-
-    def union_step(self, source: DataSet | Iterable[Data]) -> UnionDiff:
-        """Fold one more source in; returns the applied net diff."""
-        if not isinstance(source, DataSet):
-            source = DataSet(source)
-        diff = union_diff(self._data, self._index, source, self._key)
-        for datum in diff.removed:
-            self._data.discard(datum)
-            self._index.remove(datum)
-        for datum in diff.added:
-            self._data.add(datum)
-            self._index.add(datum)
-        return diff
-
-
-def fold_union(sources: Iterable[DataSet | Iterable[Data]],
-               key: Iterable[str]) -> DataSet:
-    """Left fold of ``∪K`` over ``sources`` via :class:`IncrementalUnion`."""
-    iterator = iter(sources)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return DataSet()
-    accumulator = IncrementalUnion(
-        first if isinstance(first, DataSet) else DataSet(first), key)
-    for source in iterator:
-        accumulator.union_step(source)
-    return accumulator.result()

@@ -360,10 +360,6 @@ class Database:
         return self._state.data
 
     @property
-    def _marker_index(self) -> PMap:
-        return self._state.marker_index
-
-    @property
     def _key_indexes(self) -> dict[frozenset[str], KeyIndex]:
         return self._state.key_indexes
 
@@ -717,13 +713,8 @@ class Database:
 
     def _compatible_at(self, pinned: _DBState | None, datum: Data,
                        key: Iterable[str]) -> DataSet:
-        from repro.core.compatibility import compatible_data
-
-        checked = check_key(key)
-        index = self._key_index(checked, pinned)
-        return DataSet(
-            candidate for candidate in index.candidates(datum)
-            if compatible_data(datum, candidate, checked))
+        index = self._key_index(check_key(key), pinned)
+        return DataSet(index.partners(datum))
 
     # -- column indexes -------------------------------------------------------
 
@@ -975,8 +966,7 @@ class Database:
             # of the union, atomically with the chain extension.
             head = self._head
             data = head.data
-            diff = union_diff(data, self._head_key_index(checked),
-                              source, checked)
+            diff = union_diff(data, self._head_key_index(checked), source)
             outcome = self._apply_locked(
                 diff.removed,
                 tuple(self._canonical(datum) for datum in diff.added))

@@ -17,15 +17,18 @@ pairs. The two remaining kinds need care:
   (Definition 6(5)), which is not plain equality — such data are
   classified :data:`UNINDEXABLE` and fall back to pairwise scanning.
 
-``repro.store.ops`` builds the fast Definition 12 operations on top;
-benchmark S5 measures the speedup and verifies result equality against
-the naive scan (the ablation DESIGN.md calls out).
+:meth:`KeyIndex.partners` is the one partner lookup on top: the
+candidates filtered by Definition 6 under the index's key. The fast
+``∩K``/``−K`` of :mod:`repro.store.ops`, ``union_diff`` in
+:mod:`repro.store.bulk` (the step behind ``Database.merge_in``), the
+three-way sync and the change report all pair through it.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Hashable, Iterable
 
+from repro.core.compatibility import compatible_data
 from repro.core.intern import is_interned as _is_interned
 from repro.core.intern import on_clear as _on_clear
 from repro.core.data import Data
@@ -118,14 +121,12 @@ def _signature_impl(obj: SSObject, key: AbstractSet[str]) -> Hashable:
 class KeyIndex:
     """Hash index of a data collection by key signature.
 
-    The index is *incremental*: :meth:`add` and :meth:`remove` maintain
-    it one datum at a time, so a long-lived accumulator (the bulk-merge
-    fold in :mod:`repro.store.bulk`) is indexed once and updated instead
-    of being rebuilt after every change, and :meth:`patched` derives a
-    successor for a published :class:`~repro.store.database.Database`
-    generation. ``buckets`` is a :class:`~repro.store.persistent.PMap`
-    of ``signature -> list of data``; published bucket lists are never
-    mutated.
+    An index never changes once built: :meth:`patched` derives the
+    successor for a batch delta and leaves ``self`` as it was, so a
+    published :class:`~repro.store.database.Database` generation keeps
+    its index while the next one is built. ``buckets`` is a
+    :class:`~repro.store.persistent.PMap` of ``signature -> list of
+    data``; published bucket lists and side lists are never mutated.
     """
 
     def __init__(self, data: Iterable[Data] = (),
@@ -170,49 +171,6 @@ class KeyIndex:
         index.never_list = never_list
         return index
 
-    def add(self, datum: Data) -> None:
-        """Insert one datum."""
-        classified = signature(datum, self._key)
-        if classified == NEVER_MATCHES:
-            self.never_list.append(datum)
-        elif classified == UNINDEXABLE:
-            self.scan_list.append(datum)
-        else:
-            buckets = self.buckets.edit()
-            buckets[classified] = buckets.get(classified, []) + [datum]
-            self.buckets = buckets.finish()
-
-    def remove(self, datum: Data) -> bool:
-        """Remove one datum (by equality); ``False`` when absent.
-
-        The signature pins the only place the datum can live, so
-        removal touches a single bucket — or one of the two side lists
-        — rather than the whole index.
-        """
-        classified = signature(datum, self._key)
-        if classified == NEVER_MATCHES:
-            target = self.never_list
-        elif classified == UNINDEXABLE:
-            target = self.scan_list
-        else:
-            bucket = self.buckets.get(classified)
-            if bucket is None or datum not in bucket:
-                return False
-            buckets = self.buckets.edit()
-            if len(bucket) == 1:
-                del buckets[classified]
-            else:
-                bucket = list(bucket)
-                bucket.remove(datum)
-                buckets[classified] = bucket
-            self.buckets = buckets.finish()
-            return True
-        try:
-            target.remove(datum)
-        except ValueError:
-            return False
-        return True
-
     def patched(self, removed: Iterable[Data],
                 added: Iterable[Data]) -> "KeyIndex":
         """A new index reflecting a batch delta; ``self`` is untouched.
@@ -223,8 +181,8 @@ class KeyIndex:
         and each signature's list (or side list) is copied at most
         once, the first time the delta touches it. Everything else
         stays shared with the old index, so the cost follows the delta,
-        not the store. Store layers that publish immutable state
-        records use this instead of :meth:`add`/:meth:`remove`.
+        not the store. A datum of ``removed`` that the index does not
+        hold is ignored.
         """
         index = KeyIndex.__new__(KeyIndex)
         index._key = self._key
@@ -303,6 +261,14 @@ class KeyIndex:
         if classified == UNINDEXABLE:
             return self.everything()
         return self.buckets.get(classified, [])
+
+    def partners(self, datum: Data) -> list[Data]:
+        """Indexed data compatible with ``datum`` under the index's key
+        (Definition 6): :meth:`candidates` filtered by
+        :func:`~repro.core.compatibility.compatible_data`."""
+        key = self._key
+        return [candidate for candidate in self.candidates(datum)
+                if compatible_data(datum, candidate, key)]
 
     def everything(self) -> list[Data]:
         """All indexed data (bucket order, then scan, then never)."""

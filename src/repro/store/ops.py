@@ -1,28 +1,24 @@
-"""Index-accelerated Definition 12 operations.
+"""Index-accelerated Definition 12 intersection and difference.
 
-Drop-in replacements for :meth:`DataSet.union` / ``intersection`` /
-``difference`` that build a :class:`~repro.store.index.KeyIndex` over the
-second operand and probe it instead of scanning all pairs. Results are
-**identical** to the naive operations (the S5 ablation benchmark asserts
-this on every run); only the pairing step changes from O(n·m) to
-O(n + m) for indexable data.
+Drop-in replacements for :meth:`DataSet.intersection` / ``difference``
+that build a :class:`~repro.store.index.KeyIndex` over the second
+operand and probe it instead of scanning all pairs. Results are
+**identical** to the naive operations (``tests/store/test_ops.py`` and
+the ``benchmarks/bench_ablation.py`` runs assert this); only the pairing
+step changes from O(n·m) to O(n + m) for indexable data. ``∪K`` has its
+own fast paths in :mod:`repro.store.bulk`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.compatibility import check_key, compatible_data
+from repro.core.compatibility import check_key
 from repro.core.data import Data, DataSet
 from repro.core.intern import equal as _equal
 from repro.store.index import KeyIndex
 
-__all__ = ["indexed_union", "indexed_intersection", "indexed_difference"]
-
-
-def _compatible_partners(datum: Data, index: KeyIndex) -> list[Data]:
-    return [candidate for candidate in index.candidates(datum)
-            if compatible_data(datum, candidate, index.key)]
+__all__ = ["indexed_intersection", "indexed_difference"]
 
 
 def _same_datum(first: Data, second: Data) -> bool:
@@ -31,37 +27,6 @@ def _same_datum(first: Data, second: Data) -> bool:
         return True
     return (_equal(first.marker, second.marker)
             and _equal(first.object, second.object))
-
-
-def indexed_union(first: DataSet, second: DataSet,
-                  key: Iterable[str]) -> DataSet:
-    """``S1 ∪K S2`` via a key index on ``S2`` (same result as
-    :meth:`DataSet.union`)."""
-    checked = check_key(key)
-    index = KeyIndex(second, checked)
-    result: list[Data] = []
-    # Matched S2 data are tracked by instance identity: the index holds
-    # the very instances ``second`` yields (a DataSet is a frozenset, so
-    # each structural value has exactly one instance), which makes the
-    # id() probe equivalent to structural membership without re-hashing
-    # large Data values on every pass.
-    matched_second: set[int] = set()
-    for datum in first:
-        partners = _compatible_partners(datum, index)
-        if not partners:
-            result.append(datum)
-            continue
-        matched_second.update(map(id, partners))
-        # d ∪K d = d (Definition 11 merges identical marker and object
-        # parts to themselves), so identical partners skip the merge.
-        result.extend(datum if _same_datum(datum, partner)
-                      else datum.union(partner, checked)
-                      for partner in partners)
-    # Compatibility is symmetric, so the data of S2 with no partner are
-    # exactly those never collected above.
-    result.extend(datum for datum in second
-                  if id(datum) not in matched_second)
-    return DataSet(result)
 
 
 def indexed_intersection(first: DataSet, second: DataSet,
@@ -75,7 +40,7 @@ def indexed_intersection(first: DataSet, second: DataSet,
         # shortcut is NOT taken for difference, where d −K d ≠ d).
         result.extend(datum if _same_datum(datum, partner)
                       else datum.intersection(partner, checked)
-                      for partner in _compatible_partners(datum, index))
+                      for partner in index.partners(datum))
     return DataSet(result)
 
 
@@ -86,7 +51,7 @@ def indexed_difference(first: DataSet, second: DataSet,
     index = KeyIndex(second, checked)
     result: list[Data] = []
     for datum in first:
-        partners = _compatible_partners(datum, index)
+        partners = index.partners(datum)
         if not partners:
             result.append(datum)
         else:

@@ -1,10 +1,9 @@
-"""All engine fold strategies must produce identical results.
+"""Both engine fold strategies must produce identical results.
 
 ``MergeSpec.strategy`` only reorganizes the Definition 12 pairing work
-— naive scans, indexed pairwise folds, or the k-way signature-blocked
-pipeline. These tests run the same sources under every strategy and
-compare the outcomes structurally; the ``"naive"`` strategy is the
-definitional reference.
+— naive scans or the k-way signature-blocked pipeline. These tests run
+the same sources under both strategies and compare the outcomes
+structurally; the ``"naive"`` strategy is the definitional reference.
 """
 
 import pytest
@@ -14,8 +13,6 @@ from repro.core.errors import MergeError
 from repro.merge.engine import MergeEngine
 from repro.merge.spec import MergeSpec
 from repro.properties import ObjectGenerator
-
-STRATEGIES = ("naive", "indexed", "blocked")
 
 
 def build_engine(spec, sources):
@@ -49,26 +46,23 @@ class TestStrategyEquivalence:
 
         sources = list(example6_sources())
         reference = merge_under("naive", sources)
-        for strategy in ("indexed", "blocked"):
-            result = merge_under(strategy, sources)
-            assert result.dataset == reference.dataset, strategy
-            assert result.stats == reference.stats, strategy
+        result = merge_under("blocked", sources)
+        assert result.dataset == reference.dataset
+        assert result.stats == reference.stats
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sources_all_strategies(self, seed):
         generator = ObjectGenerator(seed=seed)
         sources = [generator.dataset(8) for _ in range(4)]
         reference = merge_under("naive", sources)
-        for strategy in ("indexed", "blocked"):
-            assert merge_under(strategy, sources).dataset == \
-                reference.dataset, strategy
+        assert merge_under("blocked", sources).dataset == \
+            reference.dataset
 
     def test_workload_all_strategies(self):
         sources = workload_sources()
         reference = merge_under("naive", sources)
-        for strategy in ("indexed", "blocked"):
-            assert merge_under(strategy, sources).dataset == \
-                reference.dataset, strategy
+        assert merge_under("blocked", sources).dataset == \
+            reference.dataset
 
     def test_per_class_keys_respected(self):
         spec_kwargs = dict(
@@ -81,11 +75,9 @@ class TestStrategyEquivalence:
         ]
         reference = build_engine(
             spec_with(strategy="naive", **spec_kwargs), sources).merge()
-        for strategy in ("indexed", "blocked"):
-            result = build_engine(
-                spec_with(strategy=strategy, **spec_kwargs),
-                sources).merge()
-            assert result.dataset == reference.dataset, strategy
+        result = build_engine(
+            spec_with(strategy="blocked", **spec_kwargs), sources).merge()
+        assert result.dataset == reference.dataset
 
     def test_intersect_and_subtract_match_naive(self):
         from tests.core.test_data import example6_sources
@@ -99,8 +91,9 @@ class TestStrategyEquivalence:
 
 class TestSpecValidation:
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(MergeError, match="strategy"):
-            spec_with(strategy="turbo")
+        for strategy in ("turbo", "indexed"):
+            with pytest.raises(MergeError, match="strategy"):
+                spec_with(strategy=strategy)
 
     def test_defaults(self):
         spec = spec_with()
@@ -126,3 +119,7 @@ class TestCli:
             assert status == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1] == outputs[2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["merge", str(first), str(second),
+                  "--strategy", "indexed"])
+        assert excinfo.value.code == 2

@@ -232,7 +232,7 @@ class TestBuilderProperties:
 
 
 # ---------------------------------------------------------------------------
-# Store: indexed operations are bit-identical to the naive Definition 12
+# Store: the fast set operations are bit-identical to the naive Definition 12
 # ---------------------------------------------------------------------------
 
 data_objects = st.one_of(
@@ -241,22 +241,34 @@ data_objects = st.one_of(
               st.dictionaries(st.sampled_from(["A", "B", "C"]), objects,
                               max_size=3)),
 )
-class TestIndexedOpsEquivalence:
+
+
+class TestFastOpsEquivalence:
     @given(st.lists(st.tuples(st.sampled_from(["m1", "m2", "m3", "m4"]),
                               data_objects), max_size=6),
            st.lists(st.tuples(st.sampled_from(["n1", "n2", "n3", "n4"]),
                               data_objects), max_size=6))
     @settings(max_examples=200)
-    def test_indexed_equals_naive(self, left_pairs, right_pairs):
+    def test_fast_paths_equal_naive(self, left_pairs, right_pairs):
         from repro.core.data import Data, DataSet
-        from repro.store.ops import (
-            indexed_difference,
-            indexed_intersection,
-            indexed_union,
-        )
+        from repro.store.bulk import blocked_union, union_diff
+        from repro.store.database import Database
+        from repro.store.index import KeyIndex
+        from repro.store.ops import indexed_difference, indexed_intersection
 
         s1 = DataSet(Data(name, obj) for name, obj in left_pairs)
         s2 = DataSet(Data(name, obj) for name, obj in right_pairs)
-        assert indexed_union(s1, s2, K) == s1.union(s2, K)
+        expected = s1.union(s2, K)
+        # ∪K: the k-way blocked fold, one indexed step, and that step
+        # as the store applies it, with and without interning.
+        assert blocked_union([s1, s2], K) == expected
+        current = set(s1)
+        diff = union_diff(current, KeyIndex(current, K), s2)
+        assert DataSet((current - set(diff.removed))
+                       | set(diff.added)) == expected
+        for intern_objects in (True, False):
+            database = Database(s1, intern_objects=intern_objects)
+            database.merge_in(s2, K)
+            assert database.snapshot() == expected
         assert indexed_intersection(s1, s2, K) == s1.intersection(s2, K)
         assert indexed_difference(s1, s2, K) == s1.difference(s2, K)

@@ -107,57 +107,94 @@ class TestKeyIndex:
         assert len(index) == 3
         assert set(index.everything()) == {a, b, c}
 
+    def test_partners_are_the_compatible_candidates(self):
+        from repro.core.compatibility import compatible_data
+        from repro.properties import ObjectGenerator
+
+        a = data("m", tup(A="k", B="b", p=1))
+        scan = data("n", tup(A=tup(A="i", B="j"), B="b"))
+        other = data("p", tup(A=tup(A="z", B="j"), B="b"))
+        index = KeyIndex([a, scan, other, data("o", tup(A="k"))], K)
+        assert index.partners(data("x", tup(A="k", B="b", q=2))) == [a]
+        # An unindexable probe scans, but only its compatible scan-list
+        # mate is a partner.
+        probe = data("y", tup(A=tup(A="i", B="j"), B="b", r=3))
+        assert index.partners(probe) == [scan]
+        for seed in range(10):
+            generator = ObjectGenerator(seed=seed)
+            index = KeyIndex(generator.dataset(8), K)
+            for datum in generator.dataset(8):
+                assert index.partners(datum) == [
+                    candidate for candidate in index.candidates(datum)
+                    if compatible_data(datum, candidate, K)]
+
     def test_incremental_add(self):
         index = KeyIndex([], K)
         d = data("m", tup(A="k", B="b"))
-        index.add(d)
-        assert len(index) == 1
-        assert index.candidates(data("x", tup(A="k", B="b"))) == [d]
+        grown = index.patched((), [d])
+        assert len(grown) == 1
+        assert grown.candidates(data("x", tup(A="k", B="b"))) == [d]
+        assert len(index) == 0
+        assert index.candidates(data("x", tup(A="k", B="b"))) == []
 
     def test_incremental_remove_bucket(self):
         a = data("m", tup(A="k", B="b", p=1))
         b = data("n", tup(A="k", B="b", q=2))
         index = KeyIndex([a, b], K)
-        assert index.remove(a) is True
-        assert index.candidates(data("x", tup(A="k", B="b"))) == [b]
-        assert index.remove(a) is False
-        assert index.remove(b) is True
+        probe = data("x", tup(A="k", B="b"))
+        shrunk = index.patched([a], ())
+        assert shrunk.candidates(probe) == [b]
+        emptied = shrunk.patched([b], ())
         # Emptied buckets are dropped entirely.
-        assert index.buckets == {}
-        assert len(index) == 0
+        assert emptied.buckets == {}
+        assert len(emptied) == 0
+        assert index.candidates(probe) == [a, b]
+        assert shrunk.candidates(probe) == [b]
 
     def test_incremental_remove_side_lists(self):
         never = data("m", tup(A="k"))                 # B missing → ⊥
         scan = data("n", tup(A=tup(x=1), B="b"))      # tuple key value
         index = KeyIndex([never, scan], K)
-        assert index.remove(never) is True
-        assert index.remove(scan) is True
-        assert index.remove(scan) is False
-        assert len(index) == 0
+        emptied = index.patched([never, scan], ())
+        assert emptied.never_list == emptied.scan_list == []
+        assert len(emptied) == 0
+        assert index.never_list == [never]
+        assert index.scan_list == [scan]
 
     def test_remove_by_equality_not_identity(self):
         a = data("m", tup(A="k", B="b"))
         index = KeyIndex([a], K)
         clone = data("m", tup(A="k", B="b"))
         assert clone is not a
-        assert index.remove(clone) is True
-        assert len(index) == 0
+        assert len(index.patched([clone], ())) == 0
+        assert len(index) == 1
 
     def test_remove_missing_from_absent_bucket(self):
         index = KeyIndex([data("m", tup(A="k", B="b"))], K)
-        assert index.remove(data("x", tup(A="z", B="z"))) is False
-        assert len(index) == 1
+        absent = [data("x", tup(A="z", B="z")),      # no such bucket
+                  data("y", tup(A="k", B="b", p=1)),  # bucket, not held
+                  data("n", tup(A="k")),             # never list
+                  data("o", tup(A=tup(x=1), B="b"))]  # scan list
+        patched = index.patched(absent, ())
+        assert sorted(map(repr, patched.everything())) == \
+            sorted(map(repr, index.everything()))
+        assert len(patched) == 1
 
     def test_add_remove_round_trip_matches_rebuild(self):
         from repro.properties import ObjectGenerator
 
         generator = ObjectGenerator(seed=3)
         all_data = list(generator.dataset(12))
+        extra = list(generator.dataset(6))
         index = KeyIndex(all_data, K)
+        before = sorted(map(repr, index.everything()))
         removed = all_data[::2]
-        for datum in removed:
-            assert index.remove(datum) is True
-        kept = [d for d in all_data if d not in removed]
+        patched = index.patched(removed, extra)
+        kept = [d for d in all_data if d not in removed] + extra
         rebuilt = KeyIndex(kept, K)
-        assert sorted(map(repr, index.everything())) == \
+        assert sorted(map(repr, patched.everything())) == \
             sorted(map(repr, rebuilt.everything()))
+        assert set(patched.buckets) == set(rebuilt.buckets)
+        assert sorted(map(repr, index.everything())) == before
+        back = patched.patched(extra, removed)
+        assert sorted(map(repr, back.everything())) == before

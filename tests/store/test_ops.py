@@ -1,4 +1,8 @@
-"""Tests that the indexed operations equal the naive Definition 12."""
+"""Tests that the fast set operations equal the naive Definition 12.
+
+``∪K`` runs through the signature-blocked fold over two sources;
+``∩K``/``−K`` through the key-indexed operations.
+"""
 
 import pytest
 
@@ -6,11 +10,8 @@ from repro.core.builder import dataset, tup
 from repro.core.data import DataSet
 from repro.core.errors import EmptyKeyError
 from repro.properties import ObjectGenerator
-from repro.store.ops import (
-    indexed_difference,
-    indexed_intersection,
-    indexed_union,
-)
+from repro.store.bulk import blocked_union
+from repro.store.ops import indexed_difference, indexed_intersection
 from tests.core.test_data import example6_sources
 
 K = {"A", "B"}
@@ -22,13 +23,14 @@ class TestEquivalenceWithNaive:
     def test_random_datasets(self, seed):
         generator = ObjectGenerator(seed=seed)
         s1, s2 = generator.dataset(7), generator.dataset(7)
-        assert indexed_union(s1, s2, K) == s1.union(s2, K)
+        assert blocked_union([s1, s2], K) == s1.union(s2, K)
         assert indexed_intersection(s1, s2, K) == s1.intersection(s2, K)
         assert indexed_difference(s1, s2, K) == s1.difference(s2, K)
 
     def test_example6(self):
         s1, s2 = example6_sources()
-        assert indexed_union(s1, s2, PAPER_K) == s1.union(s2, PAPER_K)
+        assert blocked_union([s1, s2], PAPER_K) == \
+            s1.union(s2, PAPER_K)
         assert indexed_intersection(s1, s2, PAPER_K) == \
             s1.intersection(s2, PAPER_K)
         assert indexed_difference(s1, s2, PAPER_K) == \
@@ -41,14 +43,14 @@ class TestEquivalenceWithNaive:
             entries=150, sources=2, overlap=0.4, conflict_rate=0.3,
             partial_author_rate=0.3, seed=9))
         s1, s2 = workload.sources
-        assert indexed_union(s1, s2, workload.key) == \
+        assert blocked_union([s1, s2], workload.key) == \
             s1.union(s2, workload.key)
 
     def test_empty_sides(self):
         s1, _ = example6_sources()
         empty = DataSet()
-        assert indexed_union(s1, empty, PAPER_K) == s1
-        assert indexed_union(empty, s1, PAPER_K) == s1
+        assert blocked_union([s1, empty], PAPER_K) == s1
+        assert blocked_union([empty, s1], PAPER_K) == s1
         assert indexed_intersection(s1, empty, PAPER_K) == empty
         assert indexed_difference(s1, empty, PAPER_K) == s1
         assert indexed_difference(empty, s1, PAPER_K) == empty
@@ -57,10 +59,10 @@ class TestEquivalenceWithNaive:
         s1 = dataset(("m", tup(A="k", B="b", p=1)))
         s2 = dataset(("n1", tup(A="k", B="b", q=2)),
                      ("n2", tup(A="k", B="b", r=3)))
-        assert indexed_union(s1, s2, K) == s1.union(s2, K)
+        assert blocked_union([s1, s2], K) == s1.union(s2, K)
         assert indexed_difference(s1, s2, K) == s1.difference(s2, K)
 
     def test_empty_key_rejected(self):
         s1, s2 = example6_sources()
         with pytest.raises(EmptyKeyError):
-            indexed_union(s1, s2, set())
+            blocked_union([s1, s2], set())

@@ -20,7 +20,7 @@ from repro.merge import (
 from repro.query import Eq, Exists, Query, run_query
 from repro.rules import Engine, parse_program
 from repro.schema import infer_schema, suggest_key
-from repro.store import Database, indexed_union
+from repro.store import Database, blocked_union
 from repro.text import format_dataset, parse_dataset
 from repro.web import pages_to_dataset
 from repro.workloads import (
@@ -118,7 +118,7 @@ class TestStorePipeline:
         s1, s2 = workload.sources
         database = Database(s1)
         database.merge_in(s2, workload.key)
-        assert database.snapshot() == indexed_union(s1, s2, workload.key)
+        assert database.snapshot() == blocked_union([s1, s2], workload.key)
 
         path = tmp_path / "library.json"
         database.save(path)

@@ -56,7 +56,7 @@ REGISTRY: dict[str, tuple[str, tuple[str, ...]]] = {
     "join": ("benchmarks/bench_join.py",
              ("join_speedup", "group_agg_speedup")),
     "merge_pipeline": ("benchmarks/bench_merge_pipeline.py",
-                       ("speedup_blocked", "speedup_indexed")),
+                       ("speedup_blocked",)),
     "nested": ("benchmarks/bench_nested.py",
                ("nested_residual_speedup", "group_agg_speedup")),
     "query_planner": ("benchmarks/bench_query_planner.py",
