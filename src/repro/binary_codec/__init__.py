@@ -12,6 +12,7 @@ from repro.binary_codec.codec import (
     VERSION,
     Decoder,
     Encoder,
+    ValueTable,
     dump_data,
     dump_dataset,
     dump_object,
@@ -32,6 +33,7 @@ __all__ = [
     "VERSION",
     "Encoder",
     "Decoder",
+    "ValueTable",
     "pack_uvarint",
     "dump_object",
     "load_object",

@@ -50,6 +50,13 @@ giant payload does. Both ends can feed a running content digest
 (``hasher=``) for the index-validation scheme in
 :class:`repro.store.database.Database`.
 
+**Shared tables.** A :class:`ValueTable` carries a value table from
+one stream to the next: an :class:`Encoder` started from it writes a
+node the table holds as its ref and numbers its own nodes after the
+table's, and a :class:`Decoder` started from a decoded table appends
+to it. The write-ahead log (:mod:`repro.store.wal`) shares one table
+across its frames.
+
 ``intern=True`` on the decoding entry points interns every node as its
 table slot is filled: repeated structure resolves to canonical pool
 objects with O(1) identity hits, and the memoized ``⊴``/compatibility
@@ -81,7 +88,7 @@ from repro.core.objects import (
 )
 
 __all__ = [
-    "MAGIC", "VERSION", "Encoder", "Decoder", "pack_uvarint",
+    "MAGIC", "VERSION", "Encoder", "Decoder", "ValueTable", "pack_uvarint",
     "dump_object", "load_object", "dump_data", "load_data",
     "dump_dataset", "load_dataset",
     "dumps_object", "loads_object", "dumps_data", "loads_data",
@@ -143,6 +150,11 @@ def _pack_uvarint(value: int) -> bytes:
     """LEB128-encode a non-negative integer."""
     if value < 0x80:
         return _UVARINT1[value]
+    if value < 0x200000:  # two or three bytes: every ref of a log table
+        if value < 0x4000:
+            return bytes((value & 0x7F | 0x80, value >> 7))
+        return bytes((value & 0x7F | 0x80, (value >> 7) & 0x7F | 0x80,
+                      value >> 14))
     out = bytearray()
     while True:
         low = value & 0x7F
@@ -382,6 +394,41 @@ def _node_children(obj: SSObject) -> Iterable[SSObject]:
     return ()
 
 
+class ValueTable:
+    """A value table that outlives one stream.
+
+    A sequence of streams (the frames of a write-ahead log) can share
+    one table: each stream starts from the nodes the earlier ones
+    defined and appends its own. ``nodes[r]`` is the node at ref ``r``;
+    ``refs`` maps ``id(node)`` to its first ref. The table holds a
+    strong reference to every node, so an id in ``refs`` always names
+    the live node at that ref and can never be reused by another
+    object while the table exists.
+
+    Readers take ``len(table)`` once and treat refs at or past it as
+    absent, so a writer may :meth:`extend` the table while streams
+    encode against it.
+    """
+
+    __slots__ = ("nodes", "refs")
+
+    def __init__(self, nodes: Iterable[SSObject] = ()):
+        self.nodes: list[SSObject] = []
+        self.refs: dict[int, int] = {}
+        self.extend(nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def extend(self, nodes: Iterable[SSObject]) -> None:
+        """Append the nodes a stream defined, in its table order."""
+        refs = self.refs
+        table = self.nodes
+        for node in nodes:
+            refs.setdefault(id(node), len(table))
+            table.append(node)
+
+
 class Encoder:
     """Streaming encoder over a binary file object.
 
@@ -391,22 +438,37 @@ class Encoder:
     deduplicated twice over — by identity (O(1) for hash-consed
     structure) and by shape (structurally equal objects from different
     pools still collapse to one table entry).
+
+    Given a :class:`ValueTable`, the stream starts from that table's
+    first ``base_size`` nodes: a node the table holds is written as its
+    ref and its structure is not walked, and the stream's own nodes
+    take refs ``base_size``, ``base_size + 1``, … in the order
+    :attr:`defined` lists them. The table itself is never changed; the
+    caller extends it with :attr:`defined` once the stream is kept.
     """
 
     def __init__(self, stream: IO[bytes], *, hasher: Any = None,
-                 header: bool = True, dedup_shapes: bool = True):
+                 header: bool = True, dedup_shapes: bool = True,
+                 table: ValueTable | None = None):
         self._writer = _Writer(stream, hasher)
-        #: id(obj) -> table ref; the keepalive list pins the ids.
+        #: id(obj) -> table ref; ``defined``, ``_aliases`` and the
+        #: shared table pin the ids.
         self._by_id: dict[int, int] = {}
         #: structural shape key -> table ref (see _shape_key).
         self._by_shape: dict[tuple, int] = {}
         #: label -> length-prefixed UTF-8 bytes (labels repeat heavily).
         self._labels: dict[str, bytes] = {}
-        #: packed[r] == _pack_uvarint(r) for every table ref issued so
+        #: packed[r] == _pack_uvarint(r) for every table ref used so
         #: far — shared substructure makes refs far hotter than values.
-        self._packed: list[bytes] = []
-        self._keepalive: list[SSObject] = []
-        self._count = 0
+        self._packed: dict[int, bytes] = {}
+        #: The nodes this stream emitted, in ref order from base_size.
+        self.defined: list[SSObject] = []
+        #: Objects whose shape matched an emitted node (ids pinned).
+        self._aliases: list[SSObject] = []
+        self._table = table
+        #: How many nodes of ``table`` this stream may reference.
+        self.base_size = 0 if table is None else len(table.nodes)
+        self._count = self.base_size
         #: Hash-consed input never has two distinct structurally equal
         #: objects, so a caller feeding interned structure only can turn
         #: the by-shape table off and rely on identity dedup alone —
@@ -492,7 +554,18 @@ class Encoder:
             raise CodecError(f"cannot encode {type(node).__name__}")
         ref = self._count
         self._count = ref + 1
-        packed.append(_pack_uvarint(ref))
+        packed[ref] = _pack_uvarint(ref)
+        self.defined.append(node)
+        return ref
+
+    def _table_ref(self, obj: SSObject) -> int | None:
+        """``obj``'s ref in the shared table, or ``None`` when the
+        table does not hold it within the stream's ``base_size``."""
+        ref = self._table.refs.get(id(obj))
+        if ref is None or ref >= self.base_size:
+            return None
+        self._by_id[id(obj)] = ref
+        self._packed[ref] = _pack_uvarint(ref)
         return ref
 
     def _ref(self, obj: SSObject) -> int:
@@ -502,7 +575,8 @@ class Encoder:
         The walk is an explicit post-order worklist: a node is emitted
         only once every child holds a ref, so refs always point
         backwards and the stack depth is bounded by nesting, not by the
-        interpreter's recursion limit.
+        interpreter's recursion limit. A node the shared table holds
+        ends the walk there.
         """
         by_id = self._by_id
         ref = by_id.get(id(obj))
@@ -512,6 +586,11 @@ class Encoder:
             raise CodecError(
                 f"binary codec takes model objects, got "
                 f"{type(obj).__name__}")
+        table_ref = None if self._table is None else self._table_ref
+        if table_ref is not None:
+            ref = table_ref(obj)
+            if ref is not None:
+                return ref
         if isinstance(obj, (Atom, Marker)) or obj is BOTTOM:
             # Leaf fast path: no children to schedule, emit directly.
             return self._admit(obj)
@@ -524,7 +603,8 @@ class Encoder:
                 continue
             pending = None
             for child in _node_children(node):
-                if id(child) not in by_id:
+                if id(child) not in by_id and (
+                        table_ref is None or table_ref(child) is None):
                     if isinstance(child, (Atom, Marker)):
                         admit(child)  # leaves need no scheduling
                     else:
@@ -546,10 +626,11 @@ class Encoder:
             if slot is None:
                 slot = self._emit_node(node)
                 self._by_shape[shape] = slot
+            else:
+                self._aliases.append(node)
         else:
             slot = self._emit_node(node)
         self._by_id[id(node)] = slot
-        self._keepalive.append(node)
         return slot
 
     def ref_of(self, obj: SSObject) -> int:
@@ -658,13 +739,18 @@ class Decoder:
     record frames surface objects and data. Malformed input — bad
     magic, unknown tags, forward refs, truncation — raises
     :class:`~repro.core.errors.CodecError`.
+
+    ``table`` starts the stream from the nodes an earlier stream
+    decoded: any list-like with ``len``, indexing (``IndexError`` past
+    the end) and ``append``. The stream's own nodes are appended to it.
     """
 
     def __init__(self, stream: IO[bytes], *, intern: bool = False,
-                 hasher: Any = None, header: bool = True):
+                 hasher: Any = None, header: bool = True,
+                 table: Any = None):
         self._reader = _Reader(stream, hasher)
         self._intern = intern
-        self._table: list[SSObject] = []
+        self._table: list[SSObject] = [] if table is None else table
         self._label_cache: dict[bytes, str] = {}
         self._ended = False
         if header:

@@ -322,8 +322,10 @@ def _cmd_wal_info(args: argparse.Namespace) -> int:
               f"bytes ignored)")
         return 0
     torn = scan.file_size - scan.valid_length
-    print(f"log: {log_path} (base generation {scan.base_generation}, "
-          f"{len(scan.frames)} frames, {scan.valid_length} bytes"
+    print(f"log: {log_path} (format version {scan.version}, "
+          f"base generation {scan.base_generation}, "
+          f"{len(scan.frames)} frames, {scan.valid_length} bytes, "
+          f"log table {len(scan.table)} nodes"
           + (f", {torn} torn tail bytes" if torn else "") + ")")
     for frame in scan.frames:
         print(f"  generation {frame.generation}: "

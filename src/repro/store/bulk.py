@@ -177,12 +177,15 @@ def union_diff(current: AbstractSet[Data], index: KeyIndex,
     the step. Matched accumulator data are replaced by their
     Definition 11 unions; unmatched source data join. The diff is
     *net*: a datum produced by the step that already sits in
-    ``current`` is neither removed nor added.
+    ``current`` is neither removed nor added. The step only fills
+    sets, so it iterates a :class:`DataSet`'s raw element set, not its
+    canonical order (which sorts by ``structural_key``).
     """
     key = index.key
     to_remove: set[Data] = set()
     to_add: set[Data] = set()
-    for datum in source:
+    for datum in (source._data if isinstance(source, DataSet)
+                  else source):
         partners = index.partners(datum)
         if not partners:
             to_add.add(datum)

@@ -94,7 +94,6 @@ from repro.store.wal import (
     WriteAheadLog,
     _maybe_crash,
     encode_frame_body,
-    frame_from_body,
     scan_wal,
     wal_path,
 )
@@ -372,11 +371,15 @@ class Database:
 
         The body (one codec record per datum) is the expensive part of
         a commit; the delta is derived against the head state as of
-        this instant and encoded speculatively, with that head pinned
-        in the result. Under the lock, :meth:`_apply_locked` reuses
-        delta and body wholesale when the head is still the same
-        object — the common, uncontended case — and falls back to
-        recomputing both when a concurrent writer moved the chain.
+        this instant and encoded speculatively against the log table,
+        with that head pinned in the result. Under the lock,
+        :meth:`_apply_locked` reuses delta and body wholesale when the
+        head is still the same object — the common, uncontended case —
+        and falls back to recomputing both when a concurrent writer
+        moved the chain. The body stays valid however many frames
+        become durable meanwhile (its refs only reach the table entries
+        it saw); a compaction that replaces the table makes the log
+        re-encode it at append time.
         """
         head = self._head
         added_set = set(added)
@@ -389,7 +392,8 @@ class Database:
         if not delta_removed and not delta_added:
             return None
         return (head, delta_removed, delta_added,
-                encode_frame_body(delta_removed, delta_added))
+                encode_frame_body(delta_removed, delta_added,
+                                  table=self._wal.table))
 
     def _apply_locked(self, removed: Iterable[Data],
                       added: Iterable[Data], pre=None,
@@ -468,15 +472,14 @@ class Database:
             if self._auto_compact and log.size >= self._compact_bytes:
                 self._spawn_compaction()
             return delta_removed, delta_added, None
-        # Group commit: stamp the generation onto the speculatively
-        # encoded body (fast path above); a contended commit pays the
-        # encode here, under the lock.
+        # Group commit: the leader stamps the generation onto the
+        # speculatively encoded body (fast path above); a contended
+        # commit pays the encode here, under the lock.
         if body is None:
-            body = encode_frame_body(delta_removed, delta_added)
-        ticket = CommitTicket(
-            next_state.generation,
-            frame_from_body(next_state.generation, body),
-            state=next_state, cache_step=cache_step)
+            body = encode_frame_body(delta_removed, delta_added,
+                                     table=log.table)
+        ticket = CommitTicket(next_state.generation, body,
+                              state=next_state, cache_step=cache_step)
         self._head = next_state
         self._committer.register(ticket)
         return delta_removed, delta_added, ticket
@@ -582,14 +585,19 @@ class Database:
         datum. Data already absent (for removals) or present (for
         insertions) fall out of the net diff; a batch whose net diff
         is empty publishes nothing.
+
+        Removals are canonicalized like insertions, so a removed datum
+        is the stored instance and its frame record refers to the log
+        table instead of re-encoding the datum.
         """
         batch = tuple(self._canonical(datum) for datum in added)
-        delta_removed, delta_added = self._apply(tuple(removed), batch)
+        delta_removed, delta_added = self._apply(
+            tuple(self._canonical(datum) for datum in removed), batch)
         return len(delta_removed), len(delta_added)
 
     def remove(self, datum: Data) -> bool:
         """Remove a datum; returns ``False`` when absent."""
-        removed, _ = self._apply((datum,), ())
+        removed, _ = self._apply((self._canonical(datum),), ())
         return bool(removed)
 
     def update(self, marker: Marker | str,
@@ -958,7 +966,10 @@ class Database:
         """
         checked = check_key(key)
         if self._intern:
-            source = DataSet(intern_data(datum) for datum in source)
+            # The raw element set: interning only fills a set, and the
+            # canonical order would sort by structural_key per datum.
+            source = DataSet(intern_data(datum) for datum in (
+                source._data if isinstance(source, DataSet) else source))
         elif not isinstance(source, DataSet):
             source = DataSet(source)
         with self._lock:
@@ -1175,9 +1186,11 @@ class Database:
         Writers keep committing while the snapshot temp is written;
         the pin and the brief swap serialize behind the publish lock —
         the lock every append + publish (leader batch or serialized
-        commit) runs under — so the pinned ``(state, log offset)``
-        pair is always mutually consistent and no freshly appended
-        frame can be dropped.
+        commit) runs under — so the pinned state and the log's kept
+        tail (every frame appended after the pin) are always mutually
+        consistent and no freshly appended frame can be dropped. The
+        new log holds that tail re-encoded through a fresh log table:
+        its frames reference entries of frames the compaction drops.
         """
         log = self._wal
         if log is None:
@@ -1187,31 +1200,38 @@ class Database:
         with self._compact_lock:
             with self._publish_lock:
                 state = self._state
-                offset = log.size
-            target = self._path
-            assert target is not None
-            target.parent.mkdir(parents=True, exist_ok=True)
-            snapshot_temp: str | None = self._write_snapshot_temp(
-                state, target, self._snapshot_format)
+                log.keep_tail()
             try:
-                with self._publish_lock:
-                    tail = log.read_from(offset)
-                    log_temp: str | None = log.rewrite_temp(
-                        state.generation, tail)
-                    try:
-                        _maybe_crash("compact-pre-snapshot-swap")
-                        os.replace(snapshot_temp, target)
-                        snapshot_temp = None
-                        fsync_directory(target.parent)
-                        _maybe_crash("compact-pre-wal-swap")
-                        log.swap(log_temp, state.generation)
-                        log_temp = None
-                    finally:
-                        if log_temp and os.path.exists(log_temp):
-                            os.unlink(log_temp)
+                self._compact_pinned(log, state)
             finally:
-                if snapshot_temp and os.path.exists(snapshot_temp):
-                    os.unlink(snapshot_temp)
+                log.drop_tail()
+
+    def _compact_pinned(self, log: WriteAheadLog, state: _DBState) -> None:
+        """Write ``state``'s snapshot, then swap it and the re-encoded
+        tail in (compaction lock held, tail kept since the pin)."""
+        target = self._path
+        assert target is not None
+        target.parent.mkdir(parents=True, exist_ok=True)
+        snapshot_temp: str | None = self._write_snapshot_temp(
+            state, target, self._snapshot_format)
+        try:
+            with self._publish_lock:
+                log_temp: str | None
+                log_temp, table = log.rewrite_temp(state.generation)
+                try:
+                    _maybe_crash("compact-pre-snapshot-swap")
+                    os.replace(snapshot_temp, target)
+                    snapshot_temp = None
+                    fsync_directory(target.parent)
+                    _maybe_crash("compact-pre-wal-swap")
+                    log.swap(log_temp, state.generation, table)
+                    log_temp = None
+                finally:
+                    if log_temp and os.path.exists(log_temp):
+                        os.unlink(log_temp)
+        finally:
+            if snapshot_temp and os.path.exists(snapshot_temp):
+                os.unlink(snapshot_temp)
 
     def _spawn_compaction(self) -> None:
         """Kick off one background compaction (at most one at a time).

@@ -250,16 +250,19 @@ class KeyIndex:
     def candidates(self, datum: Data) -> list[Data]:
         """Data that *might* be compatible with ``datum``.
 
-        Exact bucket mates for indexable data (a datum with a tuple-valued
-        key attribute cannot be compatible with one whose attribute is
-        non-tuple, so the scan list is excluded); nothing for
-        never-matching data; the full collection for unindexable probes.
+        Exact bucket mates for indexable data; nothing for
+        never-matching data; the scan list for unindexable probes. A
+        datum with a tuple-valued key attribute cannot be compatible
+        with one whose attribute is non-tuple (Definition 6), nor with
+        one holding ``⊥`` or a partial set under a key attribute
+        (decision D3), so the scan list and the buckets never pair
+        with each other, and the never list pairs with nothing.
         """
         classified = signature(datum, self._key)
         if classified == NEVER_MATCHES:
             return []
         if classified == UNINDEXABLE:
-            return self.everything()
+            return self.scan_list
         return self.buckets.get(classified, [])
 
     def partners(self, datum: Data) -> list[Data]:

@@ -18,25 +18,52 @@ On-disk layout (all integers are LEB128 varints)::
     header  := magic "RPWL", varint version, varint base-generation,
                varint flags, crc32(header bytes) LE32
     frame   := varint len(payload), payload, crc32(payload) LE32
-    payload := binary-codec stream (no stream header):
-               varint generation,
+    payload := varint generation, body
+    body    := binary-codec stream (no stream header):
+               varint seen,
                varint n-removed, n-removed datum records,
                varint n-added,   n-added   datum records
 
 ``base-generation`` is the generation of the snapshot the log applies
 on top of; frame generations are the contiguous run ``base+1, base+2,
-…``. Each frame is a self-contained codec stream (its own value
-table), so one torn frame can never corrupt its neighbours.
+…``.
+
+**One value table per log (format version 2).** The frames share one
+codec value table, the *log table*: replay appends each frame's own
+node frames to it in frame order. A frame therefore writes a node that
+an earlier frame defined as a varint ref — a removed datum, or the
+children a ∪K result shares with the datum it replaces, cost a ref,
+not a re-encode — and defines only what the log has not seen. A body
+is encoded before its place in the log is known (group commit encodes
+it outside the writer lock), so it has two reference spaces, split by
+``seen``, the log-table size its encode read:
+
+* a ref below ``seen`` is a log ref, to a node of a frame that was
+  durable when the encode started;
+* ref ``seen + i`` is the frame's own ``i``-th node, which replay
+  places at (table size when the frame is replayed) ``+ i``.
+
+The writer mirrors the log table in :class:`LogTable` (``id(node)`` →
+log ref, holding every node). A frame's nodes enter it only after the
+frame's batch is fsynced, so no body can reference a frame that is
+not on disk; an encode takes the table's size once, so entries that
+land while it runs count as absent. Compaction re-encodes the frames
+it keeps through a fresh table, and :meth:`WriteAheadLog.append_batch`
+re-encodes a body whose table compaction replaced before appending it.
+Version-1 logs (every frame a self-contained stream with its own
+table) still replay; a log opened for writing is rewritten as version 2
+first, so version 2 is the only format ever appended.
 
 **Recovery is never fatal.** :func:`scan_wal` accepts arbitrary bytes
 and returns the longest intact frame prefix: it stops at the first
 frame whose length field is malformed, whose CRC-32 does not match,
-whose payload does not decode, or whose generation breaks the
-contiguous run (a duplicated or replayed frame ends the valid prefix
-exactly like a torn one). A corrupt header yields an empty prefix —
-recovery then falls back to the snapshot alone. Opening a
-:class:`WriteAheadLog` for writing truncates the invalid tail so the
-next append extends a fully valid log.
+whose payload does not decode or references past the log table, or
+whose generation breaks the contiguous run (a duplicated or replayed
+frame ends the valid prefix exactly like a torn one). Refs only point
+backwards, so a damaged frame never spoils an earlier one. A corrupt
+header yields an empty prefix — recovery then falls back to the
+snapshot alone. Opening a :class:`WriteAheadLog` for writing truncates
+the invalid tail so the next append extends a fully valid log.
 
 **Group commit.** Concurrent committers do not each pay an fsync:
 :class:`GroupCommitter` implements the classic leader/follower
@@ -79,21 +106,25 @@ import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.binary_codec import Decoder, Encoder, pack_uvarint
+from repro.binary_codec import Decoder, Encoder, ValueTable, pack_uvarint
 from repro.core.data import Data
 from repro.core.errors import CodecError
+from repro.core.objects import SSObject
 from repro.store.fsutil import fsync_directory
 
-__all__ = ["WriteAheadLog", "WalFrame", "WalScan", "scan_wal",
-           "wal_path", "encode_frame", "encode_frame_body",
+__all__ = ["WriteAheadLog", "WalFrame", "WalScan", "LogTable", "FrameBody",
+           "scan_wal", "wal_path", "encode_frame", "encode_frame_body",
            "frame_from_body", "decode_frame_payload",
            "CommitTicket", "GroupCommitter"]
 
 #: Magic prefix of a write-ahead log file.
 WAL_MAGIC = b"RPWL"
 
-#: Log format version; bumped on incompatible changes.
-WAL_VERSION = 1
+#: Log format version written; bumped on incompatible changes.
+WAL_VERSION = 2
+
+#: Log format versions this build replays (1: one table per frame).
+_WAL_READABLE = (1, 2)
 
 #: Header flag: frames were written from an interning database.
 _FLAG_INTERNED = 1
@@ -159,23 +190,31 @@ class WalScan:
     everything past it is a torn or corrupt tail (or, for an invalid
     header, the whole file). ``offsets[i]`` is the byte offset at which
     ``frames[i]`` starts, so callers can map byte positions to frames.
+    ``version`` is the header's format version (``None`` without a
+    valid header) and ``table`` the log table the intact frames built,
+    in ref order (empty for a version-1 log).
     """
 
-    __slots__ = ("exists", "header_valid", "base_generation", "interned",
-                 "frames", "offsets", "valid_length", "file_size")
+    __slots__ = ("exists", "header_valid", "version", "base_generation",
+                 "interned", "frames", "offsets", "valid_length",
+                 "file_size", "table")
 
     def __init__(self, *, exists: bool, header_valid: bool,
                  base_generation: int | None, interned: bool,
                  frames: list[WalFrame], offsets: list[int],
-                 valid_length: int, file_size: int):
+                 valid_length: int, file_size: int,
+                 version: int | None = None,
+                 table: list[SSObject] | None = None):
         self.exists = exists
         self.header_valid = header_valid
+        self.version = version
         self.base_generation = base_generation
         self.interned = interned
         self.frames = frames
         self.offsets = offsets
         self.valid_length = valid_length
         self.file_size = file_size
+        self.table = [] if table is None else table
 
     @property
     def last_generation(self) -> int:
@@ -183,6 +222,43 @@ class WalScan:
         if self.frames:
             return self.frames[-1].generation
         return self.base_generation or 0
+
+
+class LogTable(ValueTable):
+    """The log table as the writer holds it: ``nodes[r]`` is the node
+    at log ref ``r`` and ``refs`` maps ``id(node)`` to its ref.
+
+    It mirrors what replay of the log file rebuilds, entry for entry,
+    and grows only by the nodes of frames already on disk. Holding
+    every node keeps each id in ``refs`` bound to its node even when
+    the intern pool is cleared. ``interned`` is the log's interning
+    flag: hash-consed frames never hold two distinct structurally
+    equal objects, so their encode dedups by identity alone.
+    """
+
+    __slots__ = ("interned",)
+
+    def __init__(self, nodes: Iterable[SSObject] = (), *,
+                 interned: bool):
+        super().__init__(nodes)
+        self.interned = interned
+
+
+class FrameBody(bytes):
+    """An encoded frame body: the bytes :func:`frame_from_body` stamps
+    with a generation, plus what the log needs to append them.
+
+    ``table`` is the :class:`LogTable` the body's log refs point into
+    (``None``: the body references no table and defines every node it
+    needs), ``defined`` the nodes the body appends to the table, in
+    order, and ``removed``/``added`` the diff, kept so that the log can
+    re-encode a body whose table compaction has replaced.
+    """
+
+    table: LogTable | None
+    defined: list[SSObject]
+    removed: Sequence[Data]
+    added: Sequence[Data]
 
 
 def _uvarint_at(blob: bytes, pos: int) -> tuple[int, int] | None:
@@ -202,8 +278,8 @@ def _uvarint_at(blob: bytes, pos: int) -> tuple[int, int] | None:
     return None
 
 
-def encode_frame_body(removed: Sequence[Data],
-                      added: Sequence[Data]) -> bytes:
+def encode_frame_body(removed: Sequence[Data], added: Sequence[Data], *,
+                      table: LogTable | None = None) -> FrameBody:
     """Serialize a commit's diff — everything but the generation.
 
     The body is the expensive part of a frame (one codec ``write_datum``
@@ -212,9 +288,16 @@ def encode_frame_body(removed: Sequence[Data],
     its body *before* it knows which generation the commit will land
     on — i.e. outside the store's writer lock — and stamp the
     generation on later with :func:`frame_from_body`.
+
+    Against ``table`` (the log's :class:`LogTable`), a node the table
+    held when the encode started is written as its log ref and only
+    the rest is defined; without one the body starts from an empty
+    table.
     """
     buffer = io.BytesIO()
-    encoder = Encoder(buffer, header=False)
+    encoder = Encoder(buffer, header=False, table=table,
+                      dedup_shapes=table is None or not table.interned)
+    encoder.write_uvarint(encoder.base_size)
     encoder.write_uvarint(len(removed))
     for datum in removed:
         encoder.write_datum(datum)
@@ -222,7 +305,12 @@ def encode_frame_body(removed: Sequence[Data],
     for datum in added:
         encoder.write_datum(datum)
     encoder.flush()
-    return buffer.getvalue()
+    body = FrameBody(buffer.getvalue())
+    body.table = table
+    body.defined = encoder.defined
+    body.removed = removed
+    body.added = added
+    return body
 
 
 def frame_from_body(generation: int, body: bytes) -> bytes:
@@ -235,19 +323,126 @@ def frame_from_body(generation: int, body: bytes) -> bytes:
 
 def encode_frame(generation: int, removed: Sequence[Data],
                  added: Sequence[Data]) -> bytes:
-    """Serialize one commit as a length-prefixed, CRC-checked frame."""
+    """Serialize one commit as a length-prefixed, CRC-checked frame
+    that starts from an empty table."""
     return frame_from_body(generation, encode_frame_body(removed, added))
 
 
-def decode_frame_payload(payload: bytes, *, intern: bool) -> WalFrame:
-    """Parse one frame payload; raises :class:`CodecError` on damage."""
-    decoder = Decoder(io.BytesIO(payload), header=False, intern=intern)
-    generation = decoder.read_uvarint()
+class _FrameTable:
+    """The log table as one frame numbers it.
+
+    The frame's encode read the table's first ``seen`` entries; by
+    the time the frame is replayed (or appended), frames that became
+    durable meanwhile may have added more. A ref below ``seen`` reads
+    the log table; ref ``seen + i`` reads the frame's own ``i``-th
+    node, which this view collects in ``local`` instead of the table.
+    """
+
+    __slots__ = ("_log", "_seen", "local")
+
+    def __init__(self, log: Sequence[SSObject], seen: int):
+        self._log = log
+        self._seen = seen
+        self.local: list[SSObject] = []
+
+    def __len__(self) -> int:
+        return self._seen + len(self.local)
+
+    def __getitem__(self, ref: int) -> SSObject:
+        if ref < self._seen:
+            return self._log[ref]
+        return self.local[ref - self._seen]
+
+    def append(self, node: SSObject) -> None:
+        self.local.append(node)
+
+
+def _frame_prefix(payload: bytes) -> tuple[int, int, int]:
+    """``(generation, seen, body offset)`` of a version-2 payload."""
+    at = _uvarint_at(payload, 0)
+    if at is not None:
+        generation, pos = at
+        at = _uvarint_at(payload, pos)
+        if at is not None:
+            return generation, at[0], at[1]
+    raise CodecError("truncated WAL frame header")
+
+
+def _read_diff(generation: int, payload: bytes, pos: int, *,
+               intern: bool, table=None) -> WalFrame:
+    """The removed and added records of a payload from ``pos`` on."""
+    stream = io.BytesIO(payload)
+    stream.seek(pos)
+    decoder = Decoder(stream, header=False, intern=intern, table=table)
     removed = tuple(decoder.read_datum()
                     for _ in range(decoder.read_uvarint()))
     added = tuple(decoder.read_datum()
                   for _ in range(decoder.read_uvarint()))
     return WalFrame(generation, removed, added)
+
+
+def _frame_view(generation: int, seen: int, log: Sequence[SSObject]):
+    """A :class:`_FrameTable` over ``log``, or :class:`CodecError`
+    when the frame references entries the log table does not hold."""
+    if seen > len(log):
+        raise CodecError(
+            f"WAL frame {generation} references {seen} log-table "
+            f"entries, but only {len(log)} precede it")
+    return _FrameTable(log, seen)
+
+
+def decode_frame_payload(payload: bytes, *, intern: bool,
+                         table: list[SSObject] | None = None) -> WalFrame:
+    """Parse one frame payload; raises :class:`CodecError` on damage.
+
+    ``table`` is the log table replay has built from the frames before
+    this one (default: none, for a frame that starts from an empty
+    table); the frame's own nodes are appended to it. A frame that
+    references past the table is damage too, and on any error
+    ``table`` is left as it was.
+    """
+    generation, seen, pos = _frame_prefix(payload)
+    if table is None:
+        table = []
+    mark = len(table)
+    if seen == mark:
+        # The common case: every earlier frame was durable when this
+        # one was encoded, so its own nodes land where it numbered
+        # them and decode straight into the table.
+        try:
+            return _read_diff(generation, payload, pos, intern=intern,
+                              table=table)
+        except CodecError:
+            del table[mark:]
+            raise
+    view = _frame_view(generation, seen, table)
+    frame = _read_diff(generation, payload, pos, intern=intern, table=view)
+    table.extend(view.local)
+    return frame
+
+
+def _decode_v1_payload(payload: bytes, *, intern: bool) -> WalFrame:
+    """Parse a version-1 payload: a stream with its own value table."""
+    at = _uvarint_at(payload, 0)
+    if at is None:
+        raise CodecError("truncated WAL frame header")
+    return _read_diff(at[0], payload, at[1], intern=intern)
+
+
+def _frame_at(blob: bytes, pos: int) -> tuple[bytes, int] | None:
+    """``(payload, end)`` of the length-prefixed, CRC-checked frame
+    starting at ``pos``; ``None`` when it is torn or corrupt."""
+    at = _uvarint_at(blob, pos)
+    if at is None:
+        return None
+    length, pos = at
+    end = pos + length
+    if end + 4 > len(blob):
+        return None
+    payload = blob[pos:end]
+    if zlib.crc32(payload) != int.from_bytes(blob[end:end + 4], "little"):
+        return None
+    return payload, end + 4
 
 
 def _header_bytes(base_generation: int, interned: bool) -> bytes:
@@ -257,13 +452,15 @@ def _header_bytes(base_generation: int, interned: bool) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def _parse_header(blob: bytes) -> tuple[int, bool, int] | None:
-    """``(base_generation, interned, end_offset)``; ``None`` if bad."""
+def _parse_header(blob: bytes) -> tuple[int, int, bool, int] | None:
+    """``(version, base_generation, interned, end_offset)``; ``None``
+    if bad."""
     if blob[:len(WAL_MAGIC)] != WAL_MAGIC:
         return None
     at = _uvarint_at(blob, len(WAL_MAGIC))
-    if at is None or at[0] != WAL_VERSION:
+    if at is None or at[0] not in _WAL_READABLE:
         return None
+    version = at[0]
     at = _uvarint_at(blob, at[1])
     if at is None:
         return None
@@ -277,17 +474,18 @@ def _parse_header(blob: bytes) -> tuple[int, bool, int] | None:
     if zlib.crc32(blob[:pos]) != int.from_bytes(blob[pos:pos + 4],
                                                 "little"):
         return None
-    return base, bool(flags & _FLAG_INTERNED), pos + 4
+    return version, base, bool(flags & _FLAG_INTERNED), pos + 4
 
 
 def scan_wal(path: str | Path, *, intern: bool = False) -> WalScan:
     """Read a log, returning its longest intact frame prefix.
 
     Never raises on damaged content: any malformed length, CRC
-    mismatch, undecodable payload or non-contiguous generation ends the
-    valid prefix at the previous frame boundary. A missing file or a
-    corrupt header yields an empty prefix (``header_valid`` tells the
-    two apart from a merely frameless log).
+    mismatch, undecodable payload, reference past the log table or
+    non-contiguous generation ends the valid prefix at the previous
+    frame boundary. A missing file or a corrupt header yields an empty
+    prefix (``header_valid`` tells the two apart from a merely
+    frameless log).
     """
     try:
         blob = Path(path).read_bytes()
@@ -302,55 +500,56 @@ def scan_wal(path: str | Path, *, intern: bool = False) -> WalScan:
                        base_generation=None, interned=intern,
                        frames=[], offsets=[], valid_length=0,
                        file_size=len(blob))
-    base, interned_flag, pos = parsed
+    version, base, interned_flag, pos = parsed
+    table: list[SSObject] = []
     frames: list[WalFrame] = []
     offsets: list[int] = []
     valid_length = pos
     expected = base + 1
     size = len(blob)
     while pos < size:
-        start = pos
-        at = _uvarint_at(blob, pos)
-        if at is None:
+        found = _frame_at(blob, pos)
+        if found is None:
             break
-        length, pos = at
-        end = pos + length
-        if end + 4 > size:
-            break
-        payload = blob[pos:end]
-        if zlib.crc32(payload) != int.from_bytes(blob[end:end + 4],
-                                                 "little"):
-            break
-        try:
-            frame = decode_frame_payload(payload, intern=intern)
-        except CodecError:
-            break
-        if frame.generation != expected:
+        payload, end = found
+        at = _uvarint_at(payload, 0)
+        if at is None or at[0] != expected:
             # A duplicated, replayed or reordered frame: the log's
             # contiguous-generation invariant is broken, so the valid
             # prefix ends here exactly as it would at a torn write.
             break
+        try:
+            if version == 1:
+                frame = _decode_v1_payload(payload, intern=intern)
+            else:
+                frame = decode_frame_payload(payload, intern=intern,
+                                             table=table)
+        except CodecError:
+            break
         frames.append(frame)
-        offsets.append(start)
+        offsets.append(pos)
         expected += 1
-        pos = end + 4
-        valid_length = pos
-    return WalScan(exists=True, header_valid=True, base_generation=base,
-                   interned=interned_flag, frames=frames,
-                   offsets=offsets, valid_length=valid_length,
-                   file_size=len(blob))
+        pos = valid_length = end
+    return WalScan(exists=True, header_valid=True, version=version,
+                   base_generation=base, interned=interned_flag,
+                   frames=frames, offsets=offsets,
+                   valid_length=valid_length, file_size=len(blob),
+                   table=table)
 
 
 class WriteAheadLog:
     """An append-only commit log paired with one snapshot file.
 
     Opening repairs the log in place: a torn or corrupt tail found by
-    :func:`scan_wal` is truncated away, and a missing or header-corrupt
-    file is recreated fresh at ``base_generation``. Appends are
-    serialized by the owning :class:`~repro.store.database.Database`
-    (its writer lock, or a :class:`GroupCommitter` leader); each
-    append is flushed and fsynced before it returns, so a frame that
-    was appended is a frame recovery will see.
+    :func:`scan_wal` is truncated away, a missing or header-corrupt
+    file is recreated fresh at ``base_generation``, and a version-1 log
+    is rewritten as version 2 (its intact frames re-encoded through one
+    table). Appends are serialized by the owning
+    :class:`~repro.store.database.Database` (its publish lock, held by a
+    :class:`GroupCommitter` leader or a serialized commit); each append
+    is flushed and fsynced before it returns, so a frame that was
+    appended is a frame recovery will see. ``table`` is the writer's
+    :class:`LogTable`, rebuilt on open from the nodes replay decoded.
 
     **Durability contract of ``fsync=False``.** Every append still
     ``flush()``-es each frame's bytes into the operating system's page
@@ -374,12 +573,24 @@ class WriteAheadLog:
         #: (``frames_appended / sync_batches`` is the mean batch size).
         self.frames_appended = 0
         self.sync_batches = 0
+        #: ``(generation, removed, added)`` of every frame appended
+        #: since :meth:`keep_tail`: what a compaction re-encodes.
+        self._tail: list[tuple[int, Sequence[Data], Sequence[Data]]] \
+            | None = None
         if scan is None:
             scan = scan_wal(self._path, intern=interned)
         if scan.exists and scan.header_valid:
             self.interned = scan.interned
             self.base_generation = scan.base_generation or 0
             self.last_generation = scan.last_generation
+            if scan.version != WAL_VERSION:
+                # Never append to an old format: rewrite the intact
+                # prefix as version 2 (dropping any torn tail with it).
+                self._adopt(*self._write_log(
+                    self.base_generation,
+                    [(frame.generation, frame.removed, frame.added)
+                     for frame in scan.frames]))
+                return
             if scan.valid_length < scan.file_size:
                 # Torn/corrupt tail: truncate so appends extend a
                 # fully valid log instead of burying frames behind
@@ -389,6 +600,7 @@ class WriteAheadLog:
                     repair.flush()
                     os.fsync(repair.fileno())
             self.size = scan.valid_length
+            self.table = LogTable(scan.table, interned=self.interned)
             self._handle = open(self._path, "ab")
         else:
             self.interned = interned
@@ -396,16 +608,24 @@ class WriteAheadLog:
 
     def _create(self, base_generation: int) -> None:
         """(Re)write an empty log durably: header only."""
-        header = _header_bytes(base_generation, self.interned)
-        temp = self._write_temp(header)
-        os.replace(temp, self._path)
-        fsync_directory(self._path.parent)
+        self._adopt(*self._write_log(base_generation, ()))
         self.base_generation = base_generation
         self.last_generation = base_generation
-        self.size = len(header)
-        if self._handle is not None:
-            self._handle.close()
-        self._handle = open(self._path, "ab")
+
+    def _write_log(self, base_generation: int,
+                   frames: Iterable[tuple[int, Sequence[Data],
+                                          Sequence[Data]]],
+                   ) -> tuple[str, LogTable]:
+        """An fsynced temp file holding ``header(base)`` plus
+        ``frames`` encoded through one fresh table; returns the temp
+        name and that table."""
+        table = LogTable(interned=self.interned)
+        parts = [_header_bytes(base_generation, self.interned)]
+        for generation, removed, added in frames:
+            body = encode_frame_body(removed, added, table=table)
+            table.extend(body.defined)
+            parts.append(frame_from_body(generation, body))
+        return self._write_temp(b"".join(parts)), table
 
     def _write_temp(self, content: bytes) -> str:
         """Write ``content`` to an fsynced temp file in the log's
@@ -422,6 +642,18 @@ class WriteAheadLog:
                 os.unlink(temp_name)
             raise
         return temp_name
+
+    def _adopt(self, temp_name: str, table: LogTable) -> None:
+        """Atomically replace the log with a :meth:`_write_log` file
+        and take its table."""
+        size = os.path.getsize(temp_name)
+        os.replace(temp_name, self._path)
+        fsync_directory(self._path.parent)
+        if self._handle is not None:
+            self._handle.close()
+        self._handle = open(self._path, "ab")
+        self.size = size
+        self.table = table
 
     @property
     def path(self) -> Path:
@@ -442,23 +674,55 @@ class WriteAheadLog:
         append would bury mid-log. (``fsync=False`` skips only the
         fsync — the flush still happens, see the class docs.)
         """
-        self.append_batch([(generation,
-                            encode_frame(generation, tuple(removed),
-                                         tuple(added)))])
+        self.append_batch([(generation, encode_frame_body(
+            tuple(removed), tuple(added), table=self.table))])
 
-    def append_batch(self,
-                     frames: Sequence[tuple[int, bytes]]) -> None:
-        """Durably log a batch of pre-encoded frames: one ``write``,
-        one ``flush``, one ``fsync``, however many commits ride along.
+    def _stage(self, generation: int, frame: bytes, table: LogTable,
+               ) -> tuple[bytes, Sequence[SSObject], Sequence[Data],
+                          Sequence[Data]]:
+        """``(frame bytes, nodes it defines, removed, added)`` for one
+        batch entry, checked against ``table``."""
+        if isinstance(frame, FrameBody):
+            if frame.table is not None and frame.table is not table:
+                # Encoded against a table compaction has replaced: its
+                # log refs would land on other entries of this one.
+                frame = encode_frame_body(frame.removed, frame.added,
+                                          table=table)
+            return (frame_from_body(generation, frame), frame.defined,
+                    frame.removed, frame.added)
+        # A complete frame (encode_frame): decode it against the table
+        # for the nodes it defines, which must not reach the table
+        # before the batch is on disk.
+        found = _frame_at(frame, 0)
+        if found is None or found[1] != len(frame):
+            raise CodecError("malformed WAL frame")
+        payload = found[0]
+        framed, seen, pos = _frame_prefix(payload)
+        if framed != generation:
+            raise CodecError(
+                f"WAL frame of generation {framed} appended as "
+                f"{generation}")
+        view = _frame_view(generation, seen, table.nodes)
+        decoded = _read_diff(generation, payload, pos,
+                             intern=self.interned, table=view)
+        return frame, view.local, decoded.removed, decoded.added
 
-        ``frames`` is ``(generation, encoded_frame)`` pairs in the
-        contiguous generation order the log requires (each frame built
-        by :func:`encode_frame` / :func:`frame_from_body`). This is
-        the group-commit amortization point: a leader draining N
-        queued committers pays the syscall pair once instead of N
-        times. Failure semantics match :meth:`append` — any write or
-        fsync error truncates the partial batch away, so the log never
-        buries garbage mid-file.
+    def append_batch(self, frames: Sequence[tuple[int, bytes]]) -> None:
+        """Durably log a batch of frames: one ``write``, one ``flush``,
+        one ``fsync``, however many commits ride along.
+
+        ``frames`` is ``(generation, frame)`` pairs in the contiguous
+        generation order the log requires. A frame is a
+        :class:`FrameBody` (:func:`encode_frame_body`), which this
+        stamps with its generation — re-encoding it first if it
+        references a table compaction has replaced — or a complete
+        frame (:func:`encode_frame`). This is the group-commit
+        amortization point: a leader draining N queued committers pays
+        the syscall pair once instead of N times. Only once the fsync
+        has retired do the batch's nodes enter :attr:`table`. Failure
+        semantics match :meth:`append` — any write or fsync error
+        truncates the partial batch away, so the log never buries
+        garbage mid-file, and leaves the table as it was.
         """
         handle = self._handle
         if handle is None:
@@ -472,7 +736,10 @@ class WriteAheadLog:
                     f"non-contiguous WAL append: generation "
                     f"{generation} after {expected - 1}")
             expected += 1
-        blob = b"".join(encoded for _, encoded in frames)
+        table = self.table
+        staged = [self._stage(generation, frame, table)
+                  for generation, frame in frames]
+        blob = b"".join(encoded for encoded, _, _, _ in staged)
         _maybe_crash("pre-append")
         if _crash_armed("mid-append"):
             # Torn-write simulation: half the batch reaches the OS,
@@ -485,7 +752,7 @@ class WriteAheadLog:
             # Leader death mid-batch: the batch's first frame is fully
             # written and flushed, the rest never happen. Recovery
             # must land on a committed prefix *inside* the batch.
-            handle.write(frames[0][1])
+            handle.write(staged[0][0])
             handle.flush()
             _kill_self()
         try:
@@ -507,35 +774,44 @@ class WriteAheadLog:
         self.last_generation = frames[-1][0]
         self.frames_appended += len(frames)
         self.sync_batches += 1
+        tail = self._tail
+        for (generation, _), (_, defined, removed, added) in zip(frames,
+                                                                 staged):
+            table.extend(defined)
+            if tail is not None:
+                tail.append((generation, removed, added))
 
-    def read_from(self, offset: int) -> bytes:
-        """The raw log bytes from ``offset`` to the current end —
-        the frames a compaction pinned *after* its snapshot state."""
-        with open(self._path, "rb") as handle:
-            handle.seek(offset)
-            return handle.read(self.size - offset)
+    def keep_tail(self) -> None:
+        """Keep the diff of every frame appended from now on.
 
-    def rewrite_temp(self, base_generation: int, tail: bytes) -> str:
-        """An fsynced temp file holding ``header(base) + tail``; the
-        compaction protocol replaces the log with it *after* the new
-        snapshot is in place."""
-        return self._write_temp(
-            _header_bytes(base_generation, self.interned) + tail)
+        The compaction protocol calls this when it pins the state its
+        snapshot will hold; the frames appended after that are the
+        tail :meth:`rewrite_temp` carries into the new log.
+        """
+        self._tail = []
 
-    def swap(self, temp_name: str, base_generation: int) -> None:
+    def drop_tail(self) -> None:
+        """Stop keeping appended diffs (after a swap or a failure)."""
+        self._tail = None
+
+    def rewrite_temp(self, base_generation: int) -> tuple[str, LogTable]:
+        """An fsynced temp file holding ``header(base)`` and the kept
+        tail, re-encoded through a fresh table, plus that table; the
+        compaction protocol swaps it in *after* the new snapshot is in
+        place. The tail cannot be copied as bytes: its frames
+        reference entries of the frames compaction discards."""
+        return self._write_log(base_generation, self._tail or ())
+
+    def swap(self, temp_name: str, base_generation: int,
+             table: LogTable) -> None:
         """Atomically adopt a :meth:`rewrite_temp` file as the log.
 
         ``last_generation`` is unchanged: the tail frames carried over
         keep the log's head exactly where the writer lock last left it.
         """
-        size = os.path.getsize(temp_name)
-        os.replace(temp_name, self._path)
-        fsync_directory(self._path.parent)
-        if self._handle is not None:
-            self._handle.close()
-        self._handle = open(self._path, "ab")
+        self._adopt(temp_name, table)
         self.base_generation = base_generation
-        self.size = size
+        self._tail = None
 
     def rebase(self, generation: int) -> None:
         """Reset to an empty log at ``generation`` (frames discarded).
@@ -564,8 +840,10 @@ class CommitTicket:
     Created under the owning store's writer lock once the commit's
     generation is assigned and its frame encoded; carries everything
     the batch leader needs to make the commit durable and visible:
-    the encoded ``frame`` for :meth:`WriteAheadLog.append_batch`, the
-    ``state`` to publish once the batch's fsync retires, and an opaque
+    the ``frame`` for :meth:`WriteAheadLog.append_batch` (a
+    :class:`FrameBody` the log stamps with ``generation``, or a
+    complete frame), the ``state`` to publish once the batch's fsync
+    retires, and an opaque
     ``cache_step`` the store uses to advance its query-result cache in
     generation order. ``done``/``error`` are written by the leader
     under the committer's condition lock and read by the follower

@@ -33,6 +33,14 @@ form a prefix of its sequence, and (rows being insert-only and
 distinct) the recovered generation always equals the recovered row
 count: the committed-prefix assertion
 (:func:`check_concurrent_recovery`) needs no log read-back.
+
+In **merge** mode each writer instead ∪K-merges its rows, one at a
+time, into the one datum it owns (:data:`MERGE_KEY` pairs every row
+of a writer): each frame removes a datum an earlier frame logged and
+adds a union sharing its children, so the frames of a batch reference
+the log table rather than re-encode it. A writer's datum after ``k``
+surviving merges is :func:`merged_row` ``(writer, k)``, and the
+generation is the sum of the ``k`` (:func:`check_merge_recovery`).
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ if str(_SRC) not in sys.path:  # direct invocation: make repro importable
     sys.path.insert(0, str(_SRC))
 
 from repro.core.builder import data, tup  # noqa: E402
+from repro.core.data import DataSet  # noqa: E402
+from repro.core.objects import Atom  # noqa: E402
 from repro.store import Database  # noqa: E402
 from repro.store.wal import CRASH_ENV  # noqa: E402
 
@@ -147,10 +157,34 @@ def concurrent_rows(writers: int, per_writer: int):
             for i in range(1, per_writer + 1)}
 
 
+#: Merge mode's key: every row of one writer is compatible with its
+#: other rows and with no other writer's.
+MERGE_KEY = ("kind", "writer")
+
+
+def merged_row(writer: int, merges: int):
+    """Writer ``writer``'s datum after its first ``merges`` merges."""
+    merged = concurrent_row(writer, 1)
+    for i in range(2, merges + 1):
+        merged = merged.union(concurrent_row(writer, i), MERGE_KEY)
+    return merged
+
+
+def _merges_done(present, writer: int) -> int:
+    """How many of ``writer``'s merges a store holds (its datum's
+    marker parts: one per merged row)."""
+    for datum in present:
+        if datum.object.get("writer") == Atom(writer):
+            return len(datum.markers)
+    return 0
+
+
 def run_concurrent_workload(path: str | Path, writers: int,
                             per_writer: int, *,
-                            commit_interval: float = 0.02) -> None:
-    """N threads insert disjoint rows through one group-commit store.
+                            commit_interval: float = 0.02,
+                            merge: bool = False) -> None:
+    """N threads insert (or, with ``merge``, ∪K-merge) disjoint rows
+    through one group-commit store.
 
     ``commit_interval`` makes each batch leader linger, so concurrent
     registrations pile into real multi-frame batches. Resumable like
@@ -167,13 +201,20 @@ def run_concurrent_workload(path: str | Path, writers: int,
 
         def work(writer: int) -> None:
             try:
-                start = 1
-                while (start <= per_writer
-                       and concurrent_row(writer, start) in present):
-                    start += 1
+                if merge:
+                    start = _merges_done(present, writer) + 1
+                else:
+                    start = 1
+                    while (start <= per_writer
+                           and concurrent_row(writer, start) in present):
+                        start += 1
                 barrier.wait()
                 for i in range(start, per_writer + 1):
-                    assert db.insert(concurrent_row(writer, i))
+                    if merge:
+                        db.merge_in(DataSet([concurrent_row(writer, i)]),
+                                    MERGE_KEY)
+                    else:
+                        assert db.insert(concurrent_row(writer, i))
             except BaseException as exc:  # pragma: no cover - crash kills us
                 failures.append(exc)
 
@@ -194,6 +235,7 @@ def run_concurrent_process(path: str | Path, writers: int,
                            crash_point: str | None = None,
                            occurrence: int = 1,
                            commit_interval: float = 0.02,
+                           merge: bool = False,
                            timeout: float = 120.0):
     """Run the concurrent workload in a child, optionally crash-armed.
 
@@ -210,8 +252,8 @@ def run_concurrent_process(path: str | Path, writers: int,
         env[CRASH_ENV] = (crash_point if occurrence == 1
                           else f"{crash_point}:{occurrence}")
     argv = [sys.executable, str(Path(__file__).resolve()),
-            "--concurrent", str(path), str(writers), str(per_writer),
-            str(commit_interval)]
+            "--concurrent-merge" if merge else "--concurrent", str(path),
+            str(writers), str(per_writer), str(commit_interval)]
     return subprocess.run(argv, env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -234,15 +276,37 @@ def check_concurrent_recovery(db: Database, writers: int,
             f"{flags}")
 
 
+def check_merge_recovery(db: Database, writers: int,
+                         per_writer: int) -> None:
+    """Assert ``db`` recovered to a committed prefix of the merge
+    workload: each writer's datum is the fold of a prefix of its rows,
+    and the generation counts every surviving merge."""
+    rows = set(db.snapshot())
+    total = 0
+    for writer in range(1, writers + 1):
+        merges = _merges_done(rows, writer)
+        assert 0 <= merges <= per_writer
+        if merges:
+            assert merged_row(writer, merges) in rows, (
+                f"writer {writer}'s datum is not a fold of a prefix of "
+                f"its rows")
+        total += merges
+    assert len(rows) == sum(1 for writer in range(1, writers + 1)
+                            if _merges_done(rows, writer))
+    assert db.generation == total, (
+        f"generation {db.generation} != {total} surviving merges")
+
+
 def main(argv: list[str]) -> int:
-    if argv and argv[0] == "--concurrent":
+    if argv and argv[0] in ("--concurrent", "--concurrent-merge"):
         if len(argv) < 4:
-            print("usage: crashsim.py --concurrent <db-path> <writers> "
+            print(f"usage: crashsim.py {argv[0]} <db-path> <writers> "
                   "<per-writer> [interval]", file=sys.stderr)
             return 2
         interval = float(argv[4]) if len(argv) > 4 else 0.02
         run_concurrent_workload(argv[1], int(argv[2]), int(argv[3]),
-                                commit_interval=interval)
+                                commit_interval=interval,
+                                merge=argv[0] == "--concurrent-merge")
         return 0
     if len(argv) < 2:
         print("usage: crashsim.py <db-path> <commits> [compact-at]",

@@ -264,6 +264,18 @@ class TestWalCommands:
         assert "5 frames" in out
         assert "last recoverable generation: 5" in out
 
+    def test_info_prints_format_and_table_size(self, durable_store,
+                                                capsys):
+        from repro.store import scan_wal
+        from repro.store.wal import WAL_VERSION, wal_path
+
+        assert main(["wal", "info", str(durable_store)]) == 0
+        out = capsys.readouterr().out
+        table = scan_wal(wal_path(durable_store)).table
+        assert table
+        assert f"format version {WAL_VERSION}" in out
+        assert f"log table {len(table)} nodes" in out
+
     def test_info_absent_log(self, tmp_path, capsys):
         assert main(["wal", "info", str(tmp_path / "nothing.bin")]) == 0
         out = capsys.readouterr().out

@@ -20,6 +20,12 @@ DataSet for that generation, so prefix recovery is semantic, not just
 structural. A final property drives the full ``Database.open`` path
 over truncated logs and asserts the reopened store lands on the same
 prefix state.
+
+The same three sweeps run again over a log whose frames share the log
+table heavily (``SHARED``): ∪K merges whose results keep the children
+of the data they replace, removals of logged data and updates. There a
+frame's bytes hold refs into earlier frames, so a surviving prefix must
+also leave replay's table exactly as the writer built it.
 """
 
 import atexit
@@ -30,6 +36,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import cset, data, orv, pset, tup
 from repro.core.data import DataSet
 from repro.store import Database, scan_wal
 from repro.store.wal import wal_path
@@ -159,3 +166,148 @@ def test_database_open_lands_on_the_prefix_state(cut):
         assert db.wal.last_generation == count
     finally:
         db.close()
+
+
+# -- a log whose frames reference earlier frames ---------------------------
+
+SHARED_KEY = ("type", "title")
+
+
+def _entry(i: int, marker: str, **extra):
+    fields = dict(type="Article", title=f"T{i}", year=1980 + i % 5,
+                  tags=pset("t", f"x{i % 3}"),
+                  authors=cset("A", f"B{i % 2}"))
+    fields.update(extra)
+    return data(f"{marker}{i}", tup(**fields))
+
+
+def _source(lo: int, hi: int, marker: str, **extra) -> DataSet:
+    return DataSet(_entry(i, marker, **extra) for i in range(lo, hi))
+
+
+def _build_shared_log():
+    """Eight commits that mostly reference what earlier frames logged;
+    returns the log bytes, the contents after every generation and the
+    writer's final log table."""
+    path = _SCRATCH / "shared.bin"
+    db = Database.open(path, auto_compact=False)
+    states = [db.snapshot()]
+    steps = [
+        lambda: db.merge_in(_source(0, 8, "s"), SHARED_KEY),
+        lambda: db.merge_in(_source(0, 8, "u", venue=orv("EDBT", "VLDB")),
+                            SHARED_KEY),
+        lambda: db.apply_many(removed=list(db.by_marker("s1"))
+                              + list(db.by_marker("s2"))),
+        lambda: db.merge_in(_source(3, 10, "v", status=orv("draft",
+                                                           "final")),
+                            SHARED_KEY),
+        lambda: db.set_attribute("s4", "pages", data("p", 12).object),
+        lambda: db.insert_all(_source(20, 24, "w")),
+        lambda: db.merge_in(_source(20, 24, "x", venue=orv("EDBT",
+                                                           "VLDB")),
+                            SHARED_KEY),
+        lambda: db.apply_many(removed=list(db.by_marker("w21")),
+                              added=[_entry(30, "y")]),
+    ]
+    for step in steps:
+        step()
+        states.append(db.snapshot())
+    table = list(db.wal.table.nodes)
+    db.close()
+    return wal_path(path).read_bytes(), states, table
+
+
+SHARED_BLOB, SHARED_STATES, SHARED_TABLE = _build_shared_log()
+_SHARED = _scan_bytes(SHARED_BLOB)
+assert len(_SHARED.frames) == COMMITS
+assert len(_SHARED.table) == len(SHARED_TABLE)
+SHARED_BOUNDS = _SHARED.offsets + [_SHARED.valid_length]
+#: How many log-table entries replay holds after each frame.
+SHARED_TABLE_SIZES = [0]
+for _frame_end in SHARED_BOUNDS[1:]:
+    _partial = _scan_bytes(SHARED_BLOB[:_frame_end])
+    SHARED_TABLE_SIZES.append(len(_partial.table))
+assert SHARED_TABLE_SIZES[-1] == len(SHARED_TABLE)
+# The frames after the first define far less than the first did.
+assert SHARED_TABLE_SIZES[2] - SHARED_TABLE_SIZES[1] < \
+    SHARED_TABLE_SIZES[1]
+
+
+def _shared_prefix_before(position: int) -> int:
+    if position < SHARED_BOUNDS[0]:
+        return 0
+    return sum(1 for i in range(COMMITS)
+               if SHARED_BOUNDS[i + 1] <= position)
+
+
+def _assert_shared_prefix(scan, count: int) -> None:
+    assert [f.generation for f in scan.frames] == \
+        list(range(1, count + 1))
+    assert _fold(scan.frames) == SHARED_STATES[count]
+    assert len(scan.table) == SHARED_TABLE_SIZES[count]
+    assert scan.table == SHARED_TABLE[:SHARED_TABLE_SIZES[count]]
+    if scan.header_valid:
+        assert scan.valid_length == SHARED_BOUNDS[count]
+    else:
+        assert count == 0 and scan.valid_length == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(position=st.integers(0, len(SHARED_BLOB) - 1),
+       mask=st.integers(1, 255))
+def test_shared_byte_flip_recovers_longest_intact_prefix(position, mask):
+    corrupted = bytearray(SHARED_BLOB)
+    corrupted[position] ^= mask
+    scan = _scan_bytes(bytes(corrupted))
+    if position < SHARED_BOUNDS[0]:
+        assert not scan.header_valid
+    _assert_shared_prefix(scan, _shared_prefix_before(position))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut=st.integers(0, len(SHARED_BLOB)))
+def test_shared_truncation_recovers_frames_before_the_cut(cut):
+    scan = _scan_bytes(SHARED_BLOB[:cut])
+    _assert_shared_prefix(scan, _shared_prefix_before(cut))
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.integers(0, COMMITS - 1),
+       slot=st.integers(0, COMMITS))
+def test_shared_duplicated_frame_ends_the_prefix(source, slot):
+    """A copy of a frame that references the log table, spliced in at
+    any boundary: accepted only in its own slot, where it resolves
+    exactly as the original did."""
+    frame_bytes = SHARED_BLOB[SHARED_BOUNDS[source]:
+                              SHARED_BOUNDS[source + 1]]
+    at = SHARED_BOUNDS[slot]
+    scan = _scan_bytes(SHARED_BLOB[:at] + frame_bytes + SHARED_BLOB[at:])
+    expected = slot + 1 if source == slot else min(slot, COMMITS)
+    assert [f.generation for f in scan.frames] == \
+        list(range(1, expected + 1))
+    assert _fold(scan.frames) == SHARED_STATES[expected]
+    assert len(scan.table) == SHARED_TABLE_SIZES[expected]
+
+
+@settings(max_examples=25, deadline=None)
+@given(cut=st.integers(0, len(SHARED_BLOB)))
+def test_shared_database_open_lands_on_the_prefix_state(cut):
+    db_path = _SCRATCH / "shared-recover.bin"
+    if db_path.exists():
+        db_path.unlink()
+    wal_path(db_path).write_bytes(SHARED_BLOB[:cut])
+    count = _shared_prefix_before(cut)
+    db = Database.open(db_path, auto_compact=False)
+    try:
+        assert db.generation == count
+        assert db.snapshot() == SHARED_STATES[count]
+        # One more commit over the repaired prefix still replays.
+        db.merge_in(_source(0, 3, "z", note="n"), SHARED_KEY)
+        expected = db.snapshot()
+    finally:
+        db.close()
+    reopened = Database.open(db_path, auto_compact=False)
+    try:
+        assert reopened.snapshot() == expected
+    finally:
+        reopened.close()

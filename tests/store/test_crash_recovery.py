@@ -33,7 +33,9 @@ generation — a batch leader can die before its batch's fsync
 (``batch-mid-write``), or with the batch torn (``mid-append``); in
 every case recovery must land on a state where each writer's surviving
 rows are a prefix of its insert sequence and the generation equals the
-surviving row count.
+surviving row count. The same window under the merge workload, whose
+batched frames reference nodes earlier frames logged, must land on a
+fold of each writer's committed merges.
 
 Every test finishes by driving the recovered store to the workload's
 final state, proving recovery returns a *live* database, not a relic.
@@ -48,8 +50,10 @@ from repro.store.wal import wal_path
 
 from tests.harness.crashsim import (
     check_concurrent_recovery,
+    check_merge_recovery,
     concurrent_rows,
     expected_states,
+    merged_row,
     run_concurrent_process,
     run_concurrent_workload,
     run_workload,
@@ -230,6 +234,38 @@ class TestGroupCommitCrashes:
                 return
             assert result.returncode == 0, result.stderr
         pytest.fail("no multi-frame batch formed in 6 attempts")
+
+    def test_leader_death_mid_batch_of_shared_frames(self, tmp_path):
+        """``batch-mid-write`` under the merge workload: the batch's
+        frames remove data earlier frames logged and add unions of
+        their children, so they reference the log table. Recovery must
+        land on a committed prefix whose every frame resolved."""
+        for attempt in range(6):
+            db_path = tmp_path / f"db{attempt}.bin"
+            result = run_concurrent_process(
+                db_path, WRITERS, PER_WRITER, merge=True,
+                crash_point="batch-mid-write", commit_interval=0.05)
+            if result.returncode == -signal.SIGKILL:
+                break
+            assert result.returncode == 0, result.stderr
+        else:
+            pytest.fail("no multi-frame batch formed in 6 attempts")
+        db = Database.open(db_path, auto_compact=False)
+        try:
+            check_merge_recovery(db, WRITERS, PER_WRITER)
+            survived = db.generation
+        finally:
+            db.close()
+        assert 0 < survived < WRITERS * PER_WRITER
+        run_concurrent_workload(db_path, WRITERS, PER_WRITER, merge=True)
+        db = Database.open(db_path, auto_compact=False)
+        try:
+            assert db.generation == WRITERS * PER_WRITER
+            assert set(db.snapshot()) == {
+                merged_row(writer, PER_WRITER)
+                for writer in range(1, WRITERS + 1)}
+        finally:
+            db.close()
 
     def test_concurrent_workload_completes_cleanly(self, tmp_path):
         db_path = tmp_path / "db.bin"

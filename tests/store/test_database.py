@@ -291,6 +291,37 @@ class TestIncrementalIndexes:
             db.merge_in(source, key)
             assert db.snapshot() == base.union(source, key), seed
 
+    def test_merge_in_never_sorts(self, monkeypatch):
+        # Interning the source and the ∪K step only fill sets: neither
+        # may iterate a DataSet in canonical (structural_key) order.
+        from importlib import import_module
+
+        from repro.properties import ObjectGenerator
+
+        # import_module: the repro.core package re-exports a function
+        # named ``data`` that shadows the submodule as an attribute.
+        modules = [import_module(f"repro.core.{name}")
+                   for name in ("order", "data")]
+        real = modules[0].structural_key
+        calls = []
+
+        def counted(obj):
+            calls.append(obj)
+            return real(obj)
+
+        key = frozenset({"A", "B"})
+        for seed in range(10):
+            generator = ObjectGenerator(seed=seed)
+            base, source = generator.dataset(9), generator.dataset(9)
+            expected = base.union(source, key, naive=True)
+            db = Database(base)
+            with monkeypatch.context() as patch:
+                for module in modules:
+                    patch.setattr(module, "structural_key", counted)
+                db.merge_in(source, key)
+            assert calls == [], seed
+            assert db.snapshot() == expected, seed
+
     def test_merge_in_patches_live_indexes(self):
         db = Database(sample_data())
         probe = data("p", tup(type="Article", title="Oracle"))

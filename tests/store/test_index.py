@@ -72,11 +72,22 @@ class TestKeyIndex:
         probe = data("x", tup(A="k"))  # B missing → ⊥ → never
         assert index.candidates(probe) == []
 
-    def test_unindexable_probe_scans_everything(self):
+    def test_unindexable_probe_scans_the_scan_list(self):
+        # A tuple-valued key attribute pairs only with data that hold a
+        # tuple there too: bucket and never-list data are not scanned.
         a = data("m", tup(A="k", B="b"))
         index = KeyIndex([a], K)
         probe = data("x", tup(A=tup(inner="k"), B="b"))
-        assert a in index.candidates(probe)
+        assert index.candidates(probe) == []
+        scan = data("n", tup(A=tup(A="i", B="j"), B="b"))
+        other = data("p", tup(A=tup(A="z", B="j"), B="b"))
+        never = data("o", tup(A="k"))
+        index = KeyIndex([a, scan, other, never], K)
+        probe = data("y", tup(A=tup(A="i", B="j"), B="b", r=3))
+        assert index.candidates(probe) == index.scan_list
+        assert sorted(index.candidates(probe), key=repr) == \
+            sorted([scan, other], key=repr)
+        assert index.partners(probe) == [scan]
 
     def test_candidates_complete_for_compatible_pairs(self):
         # Exhaustive cross-check on random data: every compatible pair

@@ -46,8 +46,9 @@ class TestFrameCodec:
         assert scan.last_generation == 6
 
     def test_each_frame_is_self_contained(self):
-        # Two frames sharing values must not share a value table:
-        # encoding one alone yields the same bytes as in sequence.
+        # Without a log table a frame defines every node it needs, so
+        # encoding it alone yields the same bytes every time (frames
+        # that share the log's table are in test_wal_table.py).
         removed, added = sample_diff()
         assert encode_frame(1, removed, added) == \
             encode_frame(1, removed, added)
