@@ -31,7 +31,9 @@ from repro.core.objects import (
     Tuple,
 )
 from repro.core.operations import difference, intersection, union
-from repro.core.order import structural_key
+from repro.core.order import sort_data
+# Unused here; perfbench counts structural_key calls per module name.
+from repro.core.order import structural_key  # noqa: F401
 from repro.core.visitor import contains_kind
 
 
@@ -190,11 +192,7 @@ class DataSet:
         try:
             ordered = self._sorted
         except AttributeError:
-            ordered = tuple(sorted(
-                self._data,
-                key=lambda d: (structural_key(d.marker),
-                               structural_key(d.object)),
-            ))
+            ordered = tuple(sort_data(self._data))
             object.__setattr__(self, "_sorted", ordered)
         return iter(ordered)
 

@@ -11,10 +11,20 @@ The order is an implementation detail — it has no semantic meaning in the
 paper — but it is part of the library's observable behaviour (pretty-printed
 or-values and sets list their members in this order), so it is stable and
 tested.
+
+This module also owns the *canonical data order* (DESIGN.md decision
+D1): data ``m : O`` compare by the marker part's key, then by the
+object's. :func:`sort_data` and :class:`DataKey` are the only
+implementations of it, and both compute an object's key only for data
+whose marker keys tie. Markers name entities, so on a store they are
+nearly all distinct, and a sort that never keys the objects never
+walks them.
 """
 
 from __future__ import annotations
 
+from itertools import compress, islice
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Sequence
 
 from repro.core.intern import is_interned as _is_interned
@@ -108,6 +118,82 @@ def atom_key(value) -> tuple:
 def sort_objects(objects: Iterable[SSObject]) -> list[SSObject]:
     """Return ``objects`` as a list sorted by :func:`structural_key`."""
     return sorted(objects, key=structural_key)
+
+
+_marker_of = attrgetter("marker")
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def _object_key(datum) -> tuple:
+    return structural_key(datum.object)
+
+
+def sort_data(data: Iterable) -> list:
+    """Return ``data`` (:class:`~repro.core.data.Data`) as a list in
+    canonical data order: by the marker part's :func:`structural_key`,
+    then, among data whose marker keys are equal, by the object's.
+
+    The first pass sorts on the marker keys alone, so every comparison
+    is a plain tuple comparison. Each run of equal marker keys is then
+    sorted by object key; data outside such runs never have their
+    objects keyed. The result depends only on the keys, never on the
+    iteration order of ``data``.
+    """
+    rows = list(data)
+    pairs = sorted(zip(map(structural_key, map(_marker_of, rows)), rows),
+                   key=_first)
+    ordered = list(map(_second, pairs))
+    keys = list(map(_first, pairs))
+    start = stop = 0
+    # ``index`` runs over the positions whose marker key equals the
+    # previous one; consecutive ones extend the current tie run.
+    for index in compress(range(1, len(keys)),
+                          map(eq, islice(keys, 1, None), keys)):
+        if index != stop:
+            ordered[start:stop] = sorted(ordered[start:stop],
+                                         key=_object_key)
+            start = index - 1
+        stop = index + 1
+    ordered[start:stop] = sorted(ordered[start:stop], key=_object_key)
+    return ordered
+
+
+class DataKey:
+    """The canonical data order (:func:`sort_data`) as a key object,
+    for bisection and small sorts.
+
+    Comparisons compare the marker keys and fall back to the object
+    keys only when those are equal; an object's key is computed on
+    the first such tie and kept.
+    """
+
+    __slots__ = ("datum", "marker", "_object")
+
+    def __init__(self, datum):
+        self.datum = datum
+        self.marker = structural_key(datum.marker)
+        self._object = None
+
+    def object_key(self) -> tuple:
+        """The object's :func:`structural_key`, computed once."""
+        key = self._object
+        if key is None:
+            key = self._object = structural_key(self.datum.object)
+        return key
+
+    def __lt__(self, other: "DataKey") -> bool:
+        if self.marker != other.marker:
+            return self.marker < other.marker
+        return (self.datum is not other.datum
+                and self.object_key() < other.object_key())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DataKey):
+            return NotImplemented
+        return self.datum is other.datum or (
+            self.marker == other.marker
+            and self.object_key() == other.object_key())
 
 
 def object_depth(obj: SSObject) -> int:

@@ -48,7 +48,9 @@ from repro.core.errors import QueryError
 from repro.core.intern import is_interned as _is_interned
 from repro.core.intern import on_clear as _on_clear
 from repro.core.objects import Atom, SSObject
-from repro.core.order import structural_key
+from repro.core.order import DataKey
+# Unused here; perfbench counts structural_key calls per module name.
+from repro.core.order import structural_key  # noqa: F401
 from repro.query.aggregates import Bounds, path_alternatives
 from repro.query.ast import Query
 from repro.query.compile import compile_columnar, compile_condition
@@ -146,15 +148,10 @@ def pair_match(left: SSObject, right: SSObject,
     return "definite" if definite else "maybe"
 
 
-def _canonical(datum: Data) -> tuple:
-    return (structural_key(datum.marker), structural_key(datum.object))
-
-
 def _finish(pairs: dict) -> list[JoinRow]:
     rows = [JoinRow(left, right, maybe)
             for (left, right), maybe in pairs.items()]
-    rows.sort(key=lambda row: (_canonical(row.left),
-                               _canonical(row.right)))
+    rows.sort(key=lambda row: (DataKey(row.left), DataKey(row.right)))
     return rows
 
 

@@ -100,7 +100,9 @@ from repro.core.objects import (
     SSObject,
     Tuple,
 )
-from repro.core.order import structural_key
+from repro.core.order import DataKey, sort_data
+# Unused here; perfbench counts structural_key calls per module name.
+from repro.core.order import structural_key  # noqa: F401
 from repro.store.persistent import PagedList, PMap
 
 __all__ = ["Column", "ColumnStore", "bit_positions",
@@ -208,10 +210,6 @@ class _BitBuilder:
 
     def value(self) -> int:
         return int.from_bytes(self._buf, "little")
-
-
-def _canonical_key(datum: Data) -> tuple:
-    return (structural_key(datum.marker), structural_key(datum.object))
 
 
 _first = itemgetter(0)
@@ -959,8 +957,7 @@ class ColumnStore:
             # non-tuple top)
         columns = {path: builder.finish()
                    for path, builder in builders.items()}
-        positions = PMap({datum: position
-                          for position, datum in enumerate(rows)})
+        positions = PMap.from_items(zip(rows, range(size)), size)
         return cls(PagedList(rows), positions, columns, shredded.value(),
                    0, size if ordered else 0, shred_depth)
 
@@ -1030,8 +1027,7 @@ class ColumnStore:
             alive = self._rows.gather(
                 bit_positions(((1 << old_size) - 1) & ~dead))
             alive.extend(appended)
-            alive.sort(key=_canonical_key)
-            return ColumnStore.build(alive, ordered=True,
+            return ColumnStore.build(sort_data(alive), ordered=True,
                                      shred_depth=self._shred_depth)
         if not appended:
             return ColumnStore(self._rows, self._positions, self._columns,
@@ -1354,12 +1350,12 @@ class ColumnStore:
         if cut == len(positions):
             return positions, rows
         head = rows[:cut]
-        keyed = sorted(zip(map(_canonical_key, rows[cut:]),
+        keyed = sorted(zip(map(DataKey, rows[cut:]),
                            range(cut, len(rows))), key=_first)
         order: list[int] = []
         start = 0
         for key, index in keyed:
-            stop = bisect_left(head, key, start, key=_canonical_key)
+            stop = bisect_left(head, key, start, key=DataKey)
             order.extend(range(start, stop))
             order.append(index)
             start = stop

@@ -72,7 +72,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import IO, Callable, Hashable, Iterable, Iterator
+from typing import IO, Callable, Collection, Hashable, Iterable, Iterator
 
 from repro import binary_codec
 from repro.binary_codec import Decoder, Encoder
@@ -205,12 +205,19 @@ class _DBState:
                         key_indexes, self._dataset, self._columns)
 
 
-def _build_marker_index(data: Iterable[Data]) -> PMap:
-    index: dict[Marker, set[Data]] = {}
-    for datum in data:
-        for marker in datum.markers:
-            index.setdefault(marker, set()).add(datum)
-    return PMap(index)
+def _build_marker_index(data: Collection[Data]) -> PMap:
+    """marker → the set of data whose marker part mentions it.
+
+    The (marker, datum) pairs go straight into a table sized for one
+    key per pair (:meth:`PMap.grouped`). A plain marker, the common
+    case, skips building ``Data.markers``.
+    """
+    pairs = [(datum.marker, datum) for datum in data
+             if type(datum.marker) is Marker]
+    pairs += [(marker, datum) for datum in data
+              if type(datum.marker) is not Marker
+              for marker in datum.markers]
+    return PMap.grouped(pairs, len(pairs))
 
 
 def _patched_markers(marker_index: PMap, removed: Iterable[Data],
@@ -1482,6 +1489,10 @@ class Database:
                 "END frame")
         dataset_digest = decoder.hexdigest()
 
+        # ``PSet`` fills its buckets in set order. The snapshot writer
+        # iterates this set, and a bucket's order depends on its
+        # insertion order, so filling straight from ``data_order``
+        # would reorder the data section of a re-saved snapshot.
         data = PSet(data_order)
         key_indexes: dict[frozenset[str], KeyIndex] = {}
 
@@ -1539,11 +1550,9 @@ class Database:
         for _ in range(decoder.read_uvarint()):
             key = frozenset(decoder.read_label()
                             for _ in range(decoder.read_uvarint()))
-            buckets = {}
-            for _ in range(decoder.read_uvarint()):
-                sig = cls._read_signature(decoder)
-                buckets[sig] = cls._read_data_ref_list(
-                    decoder, data_order)
+            buckets = [(cls._read_signature(decoder),
+                        cls._read_data_ref_list(decoder, data_order))
+                       for _ in range(decoder.read_uvarint())]
             scan = cls._read_data_ref_list(decoder, data_order)
             never = cls._read_data_ref_list(decoder, data_order)
             structs.append((key, buckets, scan, never))

@@ -26,7 +26,7 @@ three-way sync and the change report all pair through it.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Hashable, Iterable
+from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from repro.core.compatibility import compatible_data
 from repro.core.intern import is_interned as _is_interned
@@ -153,20 +153,22 @@ class KeyIndex:
 
     @classmethod
     def restore(cls, key: AbstractSet[str],
-                buckets: dict[Hashable, list[Data]],
+                buckets: Sequence[tuple[Hashable, list[Data]]],
                 scan_list: list[Data],
                 never_list: list[Data]) -> "KeyIndex":
         """Rehydrate an index from persisted structures without
         recomputing any signatures.
 
-        The caller (binary snapshot load) vouches that ``buckets`` keys
-        are exactly what :func:`signature` would produce for their data
-        under ``key`` — the snapshot layer guarantees this by persisting
-        the signatures alongside the data and validating the pairing
+        ``buckets`` lists the ``(signature, data)`` pairs as decoded;
+        they fill the bucket table directly. The caller (binary
+        snapshot load) vouches that each signature is exactly what
+        :func:`signature` would produce for its data under ``key`` —
+        the snapshot layer guarantees this by persisting the
+        signatures alongside the data and validating the pairing
         digest before restoring.
         """
         index = cls((), key)
-        index.buckets = PMap(buckets)
+        index.buckets = PMap.from_items(buckets, len(buckets))
         index.scan_list = scan_list
         index.never_list = never_list
         return index

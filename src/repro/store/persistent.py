@@ -111,13 +111,48 @@ class PMap(_Table, Mapping):
 
     def __init__(self, items: "Mapping | Iterable[tuple]" = ()):
         source = items if isinstance(items, dict) else dict(items)
-        table: list[dict] = [{} for _ in range(_table_size(len(source)))]
+        made = self.from_items(source.items(), len(source))
+        self._table = made._table
+        self._mask = made._mask
+        self._size = made._size
+
+    @classmethod
+    def from_items(cls, items: Iterable[tuple], count: int) -> "PMap":
+        """The map of the ``(key, value)`` pairs ``items``; a later
+        pair replaces an earlier one with the same key, as in a
+        ``dict``.
+
+        The pairs go straight into a table sized for ``count`` entries
+        (their number, or an estimate), with no intermediate ``dict``
+        to build and spread: one hash picks each key's bucket, and the
+        bucket's insert is the only other.
+        """
+        table: list[dict] = [{} for _ in range(_table_size(count))]
         mask = len(table) - 1
-        for key, value in source.items():
+        for key, value in items:
             table[hash(key) & mask][key] = value
-        self._table = table
-        self._mask = mask
-        self._size = len(source)
+        return cls._filled(table)
+
+    @classmethod
+    def _filled(cls, table: list[dict]) -> "PMap":
+        """A map over a table just filled in place, respread into a
+        larger table if the count it was sized for fell short."""
+        made = cls._of(table, sum(map(len, table)))
+        if made._size > len(table) * BUCKET_LOAD:
+            made = cls(made.items())
+        return made
+
+    @classmethod
+    def grouped(cls, items: Iterable[tuple], count: int) -> "PMap":
+        """The map from each key of the ``(key, value)`` pairs
+        ``items`` to the ``set`` of the values paired with it, filled
+        like :meth:`from_items` (``count`` sizes the table for that
+        many keys)."""
+        table: list[dict] = [{} for _ in range(_table_size(count))]
+        mask = len(table) - 1
+        for key, value in items:
+            table[hash(key) & mask].setdefault(key, set()).add(value)
+        return cls._filled(table)
 
     def __getitem__(self, key):
         return self._table[hash(key) & self._mask][key]

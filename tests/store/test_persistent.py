@@ -155,10 +155,19 @@ def _check_map(version: PMap, model: dict, probes) -> None:
             assert version[key] == model[key]
 
 
+#: ``(key, value)`` pairs with repeated keys, for the direct-fill
+#: constructors; paired with a size hint that may fall short of the
+#: distinct count (the table then respreads).
+PAIRS = st.lists(st.tuples(KEYS, st.integers()), max_size=400)
+HINTS = st.integers(min_value=0, max_value=800)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_map_versions_match_dict_models(draw):
-    versions = [(PMap(), {})]
+    pairs = draw.draw(PAIRS)
+    versions = [(PMap(), {}),
+                (PMap.from_items(pairs, draw.draw(HINTS)), dict(pairs))]
     for _ in range(draw.draw(st.integers(min_value=1, max_value=10))):
         parent, model = versions[draw.draw(
             st.integers(min_value=0, max_value=len(versions) - 1))]
@@ -182,6 +191,17 @@ def test_map_versions_match_dict_models(draw):
     probes = draw.draw(st.lists(KEYS, max_size=30))
     for version, model in versions:
         _check_map(version, model, probes + list(model))
+
+
+@settings(max_examples=40, deadline=None)
+@given(PAIRS, HINTS)
+def test_grouped_map_matches_a_dict_of_sets(pairs, hint):
+    model: dict = {}
+    for key, value in pairs:
+        model.setdefault(key, set()).add(value)
+    grouped = PMap.grouped(pairs, hint)
+    _check_map(grouped, model, [key for key, _ in pairs])
+    assert len(grouped._table) * BUCKET_LOAD >= len(grouped)
 
 
 @settings(max_examples=40, deadline=None)
