@@ -23,18 +23,20 @@ compaction buys:
   into the snapshot;
 * ``multi_writer`` — N concurrent writer threads × M commits each
   against a group-commit store (leader batches frames, one fsync per
-  batch) vs the same workload with ``group_commit=False`` (every
-  commit pays its own serialized fsync); the headline
-  ``group_commit_speedup`` is the median ratio over interleaved
-  serialized/group measurement pairs — the fsync amortization the
-  committer protocol exists to provide.
+  batch) vs the same writers on the same kind of store with every
+  commit taken inside a benchmark-side lock, so each commit leads its
+  own one-frame batch and pays its own fsync (the serialized
+  baseline); the headline ``group_commit_speedup`` is the median
+  ratio over interleaved serialized/group measurement pairs — the
+  fsync amortization the committer protocol exists to provide.
 
 Correctness oracles run on **every** run, full and smoke: the reopened
 store equals the live one, the compacted store equals the uncompacted
 one, replaying a log prefix lands on exactly that generation,
 point-in-time recovery reproduces the state the workload recorded
-mid-build, and both multi-writer stores land on exactly the state a
-sequential oracle commits — live and after reopening from disk.
+mid-build, both multi-writer stores land on exactly the state a
+sequential oracle commits — live and after reopening from disk — and
+the serialized baseline retires one fsynced batch per commit.
 ``recovery_speedup``, ``batch_commit_speedup`` and
 ``group_commit_speedup`` are gated by
 ``tools/check_bench_regression.py``; the full run additionally
@@ -210,11 +212,14 @@ def _phase_multi_writer(writers: int, per_writer: int,
                         ) -> tuple[dict, list[str]]:
     """N threads × M commits each: group commit vs serialized fsync.
 
-    Both stores run the identical concurrent insert workload; the only
-    difference is the commit protocol. The equality oracle holds each
-    final state — live and reopened from disk — to the sequential
-    reference, so the speedup can never come from dropping or tearing
-    a commit.
+    Both stores run the identical concurrent insert workload through
+    the same commit path. The serialized side takes a benchmark-side
+    lock around each commit, so no two commits ever share a batch: one
+    ``write`` and one ``fsync`` per commit, which its oracle checks
+    (``sync_batches`` equals the commit count). The equality oracle
+    holds each final state — live and reopened from disk — to the
+    sequential reference, so the speedup can never come from dropping
+    or tearing a commit.
 
     Rows are pre-interned outside the timed section and the intern
     pool is deliberately left warm: both modes commit identical
@@ -232,23 +237,28 @@ def _phase_multi_writer(writers: int, per_writer: int,
     reference_state = reference.snapshot()
     failures: list[str] = []
 
-    def drive(group_commit: bool) -> tuple[float, int]:
-        label = "group" if group_commit else "serialized"
+    def drive(serialized: bool) -> tuple[float, int]:
+        label = "serialized" if serialized else "group"
         tmp = Path(tempfile.mkdtemp(prefix="repro-bench-wal-"))
         try:
             db = Database.open(
                 tmp / "db.bin", auto_compact=False,
-                group_commit=group_commit,
-                commit_interval=COMMIT_INTERVAL if group_commit
-                else 0.0)
+                commit_interval=0.0 if serialized else COMMIT_INTERVAL)
             barrier = threading.Barrier(writers + 1)
             errors: list[BaseException] = []
+            one_at_a_time = threading.Lock()
+
+            def insert_alone(row) -> None:
+                with one_at_a_time:
+                    db.insert(row)
+
+            commit = insert_alone if serialized else db.insert
 
             def work(rows) -> None:
                 try:
                     barrier.wait()
                     for row in rows:
-                        db.insert(row)
+                        commit(row)
                 except BaseException as exc:  # pragma: no cover
                     errors.append(exc)
 
@@ -272,6 +282,10 @@ def _phase_multi_writer(writers: int, per_writer: int,
                     f"{label} store differs from the sequential "
                     f"reference")
             sync_batches = db.wal.sync_batches
+            if serialized and sync_batches != total:
+                failures.append(
+                    f"serialized store retired {sync_batches} batches "
+                    f"for {total} commits")
             db.close()
             reopened = Database.open(tmp / "db.bin",
                                      auto_compact=False)
@@ -294,8 +308,8 @@ def _phase_multi_writer(writers: int, per_writer: int,
     ratios: list[float] = []
     for _ in range(ROUNDS):
         gc.collect()
-        serialized_elapsed, _ = drive(False)
-        group_elapsed, sync_batches = drive(True)
+        serialized_elapsed, _ = drive(True)
+        group_elapsed, sync_batches = drive(False)
         serialized_times.append(serialized_elapsed)
         group_times.append(group_elapsed)
         batch_counts.append(sync_batches)

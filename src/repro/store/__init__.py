@@ -19,10 +19,11 @@ The paper defers implementation; this package provides it:
   pins one generation for lock-free reads) and an epoch-invalidated
   query-result cache (:class:`~repro.store.cache.QueryResultCache`);
 * :class:`~repro.store.wal.WriteAheadLog` — incremental durability:
-  ``Database.open(path, durable=True)`` logs every committed batch's
-  net diff (CRC-framed, fsynced before the MVCC publish), replays
-  log-on-top-of-snapshot on reopen, compacts past a size threshold
-  and recovers to any logged generation (``Database.recover_to``);
+  ``Database.open(path)`` logs every committed batch's net diff
+  through group commit (CRC-framed, fsynced before the MVCC publish),
+  replays log-on-top-of-snapshot on reopen, compacts past a size
+  threshold and recovers to any logged generation
+  (``Database.recover_to``);
 * :class:`~repro.store.columnar.ColumnStore` — the physical layout:
   canonical tuples shredded into per-attribute columns (flat primitive
   arrays plus present/irregular sidecar bitsets, too-irregular rows in

@@ -38,22 +38,20 @@ as open work; this module is that implementation at library scale:
   so an ingest touches only the data the ``∪K`` step actually
   changed;
 * **incremental durability** through a write-ahead log
-  (:mod:`repro.store.wal`): :meth:`Database.open` with
-  ``durable=True`` appends every committed batch's net diff to an
-  fsynced log *before* publishing the new state, replays
-  log-on-top-of-snapshot when reopening (torn tails truncated, never
-  fatal), compacts snapshot + log past a size threshold on a
-  background thread, and recovers to any logged generation
-  (:meth:`Database.recover_to`);
-* **group commit** for concurrent writers: each committer encodes its
-  frame body *outside* the writer lock, registers a
-  :class:`~repro.store.wal.CommitTicket` and blocks on the
+  (:mod:`repro.store.wal`): a store opened with :meth:`Database.open`
+  appends every committed batch's net diff to an fsynced log *before*
+  publishing the new state, replays log-on-top-of-snapshot when
+  reopening (torn tails truncated, never fatal), compacts snapshot +
+  log past a size threshold on a background thread, and recovers to
+  any logged generation (:meth:`Database.recover_to`);
+* **group commit**, the one way a durable commit reaches the log:
+  each committer encodes its frame body *outside* the writer lock,
+  registers a :class:`~repro.store.wal.CommitTicket` and blocks on the
   :class:`~repro.store.wal.GroupCommitter` barrier; one elected
   leader writes and fsyncs the whole batch with a single syscall pair
   and publishes the batch's final state, so the dominant fsync cost
-  amortizes across every writer in the batch
-  (``Database.open(..., group_commit=False)`` restores the serialized
-  per-commit fsync, ``commit_interval`` coalesces even
+  amortizes across every writer in the batch. A lone writer leads its
+  own one-frame batch (``commit_interval`` coalesces even
   non-overlapping writers, and :meth:`Database.apply_many` lets bulk
   ingest ride one frame).
 
@@ -254,6 +252,23 @@ def _patched_data(data: PSet, removed: Iterable[Data],
     return edit.finish()
 
 
+def _net_delta(data: PSet, removed: Iterable[Data],
+               added: Collection[Data],
+               ) -> tuple[tuple[Data, ...], tuple[Data, ...]]:
+    """The net ``(removed, added)`` of one write batch against ``data``.
+
+    A datum listed on both sides stays; only present data are removed
+    and only absent data are added. Each side keeps the iteration order
+    of its argument, which the index patches and ``PSet`` fills follow.
+    A set ``added`` answers the both-sides test as it is; any other
+    collection is copied into one first.
+    """
+    listed = added if isinstance(added, (set, frozenset)) else set(added)
+    return (tuple(datum for datum in removed
+                  if datum in data and datum not in listed),
+            tuple(datum for datum in added if datum not in data))
+
+
 class Database:
     """An updatable, persistable collection of semistructured data.
 
@@ -295,8 +310,8 @@ class Database:
         self._lock = threading.RLock()
         self._parsed_cache = LRUCache(_QUERY_CACHE_SIZE)
         self._results = QueryResultCache(result_cache_size)
-        # Durability runtime: populated by Database.open(durable=True);
-        # a plain in-memory database never touches the log.
+        # Durability runtime: populated by Database.open; a plain
+        # in-memory database never touches the log.
         self._wal: WriteAheadLog | None = None
         self._path: Path | None = None
         self._snapshot_format = "binary"
@@ -307,10 +322,10 @@ class Database:
         self._compact_thread: threading.Thread | None = None
         # Group-commit runtime. ``_publish_lock`` keeps the pair
         # "(log contents, published state)" mutually consistent: every
-        # append+publish — a leader's batch, a serialized commit, a
-        # compaction's pin and swap — happens inside it. Lock order is
-        # strictly ``_lock → _publish_lock``; nothing acquires the
-        # writer lock while holding the publish lock.
+        # append+publish — a leader's batch, a compaction's pin and
+        # swap — happens inside it. Lock order is strictly
+        # ``_lock → _publish_lock``; nothing acquires the writer lock
+        # while holding the publish lock.
         self._publish_lock = threading.Lock()
         self._committer: GroupCommitter | None = None
         self._state = state
@@ -389,13 +404,8 @@ class Database:
         re-encode it at append time.
         """
         head = self._head
-        added_set = set(added)
-        removed_set = set(removed)
-        delta_removed = tuple(datum for datum in removed_set
-                              if datum in head.data
-                              and datum not in added_set)
-        delta_added = tuple(datum for datum in added_set
-                            if datum not in head.data)
+        delta_removed, delta_added = _net_delta(head.data, set(removed),
+                                                set(added))
         if not delta_removed and not delta_added:
             return None
         return (head, delta_removed, delta_added,
@@ -410,13 +420,11 @@ class Database:
         held); returns ``(net removed, net added, ticket)``.
 
         The next state is assembled copy-on-write off the chain head.
-        How it becomes visible depends on the durability mode:
+        How it becomes visible depends on whether a log is attached:
 
         * transient (no log): cache epoch committed and the state
-          published inline — same as ever;
-        * serialized durable (``group_commit=False``): append + fsync
-          + publish under the publish lock, one fsync per commit;
-        * group commit: the frame is encoded (reusing ``pre`` from
+          published inline;
+        * durable: the frame is encoded (reusing ``pre`` from
           :meth:`_precompute` when the delta still matches), a
           :class:`CommitTicket` is registered, and the *caller* must
           block on the committer barrier via :meth:`_finish` — after
@@ -431,13 +439,8 @@ class Database:
             _, delta_removed, delta_added, body = pre
         else:
             body = None
-            added_set = set(added)
-            removed_set = set(removed)
-            delta_removed = tuple(datum for datum in removed_set
-                                  if datum in state.data
-                                  and datum not in added_set)
-            delta_added = tuple(datum for datum in added_set
-                                if datum not in state.data)
+            delta_removed, delta_added = _net_delta(
+                state.data, set(removed), set(added))
         if not delta_removed and not delta_added:
             return (), (), None
         new_data = _patched_data(state.data, delta_removed, delta_added)
@@ -465,23 +468,9 @@ class Database:
             self._head = next_state
             self._state = next_state
             return delta_removed, delta_added, None
-        if self._committer is None:
-            # Serialized baseline: the frame must be durable before
-            # any reader can pin the generation it creates. An append
-            # failure leaves the old state published, the head chain
-            # unmoved and the log truncated to its last good frame.
-            with self._publish_lock:
-                log.append(next_state.generation, delta_removed,
-                           delta_added)
-                self._results.commit(*cache_step)
-                self._head = next_state
-                self._state = next_state
-            if self._auto_compact and log.size >= self._compact_bytes:
-                self._spawn_compaction()
-            return delta_removed, delta_added, None
-        # Group commit: the leader stamps the generation onto the
-        # speculatively encoded body (fast path above); a contended
-        # commit pays the encode here, under the lock.
+        # The leader stamps the generation onto the speculatively
+        # encoded body (fast path above); a contended commit pays the
+        # encode here, under the lock.
         if body is None:
             body = encode_frame_body(delta_removed, delta_added,
                                      table=log.table)
@@ -515,13 +504,13 @@ class Database:
         diff renormalization against the head, copy-on-write index
         patching, ticket registration — serializes under the lock
         (:meth:`_apply_locked`), and the durability wait happens after
-        the lock is released (:meth:`_finish`). Whatever the mode, by
-        the time this returns the write is durable to the configured
-        degree and published, and no reader can ever observe a
-        generation whose frame is not on disk.
+        the lock is released (:meth:`_finish`). By the time this
+        returns the write is durable to the configured degree and
+        published, and no reader can ever observe a generation whose
+        frame is not on disk.
         """
         pre = None
-        if self._committer is not None:
+        if self._wal is not None:
             pre = self._precompute(removed, added)
         with self._lock:
             outcome = self._apply_locked(removed, added, pre)
@@ -544,9 +533,7 @@ class Database:
                 # publish of frames that are already durable.
                 self._results.clear()
         self._state = batch[-1].state
-        log = self._wal
-        if (log is not None and self._auto_compact
-                and log.size >= self._compact_bytes):
+        if self._auto_compact and self._wal.size >= self._compact_bytes:
             self._spawn_compaction()
 
     def _on_batch_abort(self, batch: "list[CommitTicket]",
@@ -995,19 +982,18 @@ class Database:
 
     @property
     def wal(self) -> WriteAheadLog | None:
-        """The attached write-ahead log (``None`` unless opened
-        durable)."""
+        """The attached write-ahead log (``None`` unless opened with
+        :meth:`open`)."""
         return self._wal
 
     @classmethod
-    def open(cls, path: str | Path, *, durable: bool = True,
+    def open(cls, path: str | Path, *,
              intern_objects: bool = True,
              index_paths: Iterable[str] = (),
              result_cache_size: int = _RESULT_CACHE_SIZE,
              compact_bytes: int = _COMPACT_BYTES,
              auto_compact: bool = True,
              fsync: bool = True,
-             group_commit: bool = True,
              commit_interval: float = 0.0) -> "Database":
         """Open a durable database: snapshot plus write-ahead log.
 
@@ -1026,30 +1012,30 @@ class Database:
         the log (``auto_compact=False`` leaves that to explicit
         :meth:`compact` calls). ``fsync=False`` trades the per-commit
         fsync away for speed (contents survive process death but not
-        power loss). ``durable=False`` degrades to a plain
-        :meth:`load`.
+        power loss). :meth:`load` reads the snapshot alone, with no
+        log attached.
 
-        ``group_commit=True`` (the default) routes commits through the
-        :class:`~repro.store.wal.GroupCommitter`: concurrent writers'
-        frames are batched and fsynced by one elected leader with a
-        single syscall pair, amortizing the dominant commit cost;
-        ``group_commit=False`` restores the serialized per-commit
-        append + fsync. ``commit_interval`` (seconds, at most 1.0)
+        Commits go through the :class:`~repro.store.wal.GroupCommitter`:
+        concurrent writers' frames are batched and fsynced by one
+        elected leader with a single syscall pair, amortizing the
+        dominant commit cost, and a lone writer leads its own
+        one-frame batch. ``commit_interval`` (seconds, at most 1.0)
         makes a fresh leader linger before draining the queue so even
         writers that never overlap in time coalesce into one batch —
         each commit then waits up to the interval, in exchange for
         far fewer fsyncs under a steady trickle of writers.
 
-        ``intern_objects``/``result_cache_size`` apply to a freshly
-        created store; an existing snapshot keeps its own interning
-        flag. ``index_paths`` are built after recovery either way, via
-        :meth:`create_index`.
+        ``intern_objects`` applies to a freshly created store; an
+        existing snapshot keeps its own interning flag.
+        ``result_cache_size`` sizes the query-result cache and
+        ``index_paths`` are built after recovery (via
+        :meth:`create_index`), for a fresh store and an existing
+        snapshot alike.
         """
         target = Path(path)
-        if not durable:
-            return cls.load(target)
         if target.exists():
             database = cls.load(target)
+            database._results = QueryResultCache(result_cache_size)
             with open(target, "rb") as probe:
                 magic = probe.read(len(_BINARY_MAGIC))
             snapshot_format = ("binary" if magic == _BINARY_MAGIC
@@ -1082,12 +1068,11 @@ class Database:
         database._compact_bytes = compact_bytes
         database._auto_compact = auto_compact
         database._wal = log
-        if group_commit:
-            database._committer = GroupCommitter(
-                log, commit_interval=commit_interval,
-                commit_lock=database._publish_lock,
-                on_durable=database._on_batch_durable,
-                on_abort=database._on_batch_abort)
+        database._committer = GroupCommitter(
+            log, commit_interval=commit_interval,
+            commit_lock=database._publish_lock,
+            on_durable=database._on_batch_durable,
+            on_abort=database._on_batch_abort)
         for indexed in index_paths:
             database.create_index(indexed)
         return database
@@ -1155,12 +1140,8 @@ class Database:
             if upto is not None and frame.generation > upto:
                 break
             generation = max(generation, frame.generation)
-            added_set = set(frame.added)
-            delta_removed = tuple(datum for datum in frame.removed
-                                  if datum in data
-                                  and datum not in added_set)
-            delta_added = tuple(datum for datum in frame.added
-                                if datum not in data)
+            delta_removed, delta_added = _net_delta(data, frame.removed,
+                                                    frame.added)
             if not delta_removed and not delta_added:
                 continue
             changed = True
@@ -1192,18 +1173,18 @@ class Database:
         frames over the new snapshot is a no-op by idempotent replay.
         Writers keep committing while the snapshot temp is written;
         the pin and the brief swap serialize behind the publish lock —
-        the lock every append + publish (leader batch or serialized
-        commit) runs under — so the pinned state and the log's kept
-        tail (every frame appended after the pin) are always mutually
-        consistent and no freshly appended frame can be dropped. The
-        new log holds that tail re-encoded through a fresh log table:
-        its frames reference entries of frames the compaction drops.
+        the lock every batch leader's append + publish runs under — so
+        the pinned state and the log's kept tail (every frame appended
+        after the pin) are always mutually consistent and no freshly
+        appended frame can be dropped. The new log holds that tail
+        re-encoded through a fresh log table: its frames reference
+        entries of frames the compaction drops.
         """
         log = self._wal
         if log is None:
             raise CodecError(
                 "compact() requires a durable database "
-                "(Database.open(path, durable=True))")
+                "(Database.open(path))")
         with self._compact_lock:
             with self._publish_lock:
                 state = self._state
@@ -1243,10 +1224,9 @@ class Database:
     def _spawn_compaction(self) -> None:
         """Kick off one background compaction (at most one at a time).
 
-        Callers arrive from two paths — a serialized commit under the
-        writer lock, or a group-commit leader under the publish lock —
-        so the spawn check has its own tiny lock instead of assuming
-        either.
+        The one caller is a group-commit batch leader, inside the
+        publish lock but not the writer lock; the spawn check keeps its
+        own tiny lock rather than lean on either.
         """
         with self._compact_spawn:
             thread = self._compact_thread

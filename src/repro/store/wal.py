@@ -65,15 +65,16 @@ header yields an empty prefix — recovery then falls back to the
 snapshot alone. Opening a :class:`WriteAheadLog` for writing truncates
 the invalid tail so the next append extends a fully valid log.
 
-**Group commit.** Concurrent committers do not each pay an fsync:
-:class:`GroupCommitter` implements the classic leader/follower
-protocol. Every writer registers its pre-encoded frame (in generation
-order, under the owning store's writer lock) and then blocks on the
-commit barrier; the first one in elects itself *leader*, drains the
-whole queue, writes every queued frame with **one** ``write`` and
-**one** ``fsync`` (:meth:`WriteAheadLog.append_batch`), publishes the
-batch through the ``on_durable`` callback, and only then releases the
-followers. An optional bounded ``commit_interval`` makes the leader
+**Group commit.** Every durable commit reaches the log through
+:class:`GroupCommitter`, so concurrent committers do not each pay an
+fsync: it implements the classic leader/follower protocol, and a lone
+writer leads its own one-frame batch. Every writer registers its
+pre-encoded frame body (in generation order, under the owning store's
+writer lock) and then blocks on the commit barrier; the first one in
+elects itself *leader*, drains the whole queue, writes every queued
+frame with **one** ``write`` and **one** ``fsync``
+(:meth:`WriteAheadLog.append_batch`), publishes the batch through the
+``on_durable`` callback, and only then releases the followers. An optional bounded ``commit_interval`` makes the leader
 linger before draining, coalescing even writers that would not
 otherwise overlap. The fsync-before-publish invariant holds per
 batch: no follower returns — and no reader can pin a batched
@@ -113,7 +114,7 @@ from repro.core.objects import SSObject
 from repro.store.fsutil import fsync_directory
 
 __all__ = ["WriteAheadLog", "WalFrame", "WalScan", "LogTable", "FrameBody",
-           "scan_wal", "wal_path", "encode_frame", "encode_frame_body",
+           "scan_wal", "wal_path", "encode_frame_body",
            "frame_from_body", "decode_frame_payload",
            "CommitTicket", "GroupCommitter"]
 
@@ -321,19 +322,12 @@ def frame_from_body(generation: int, body: bytes) -> bytes:
             + zlib.crc32(payload).to_bytes(4, "little"))
 
 
-def encode_frame(generation: int, removed: Sequence[Data],
-                 added: Sequence[Data]) -> bytes:
-    """Serialize one commit as a length-prefixed, CRC-checked frame
-    that starts from an empty table."""
-    return frame_from_body(generation, encode_frame_body(removed, added))
-
-
 class _FrameTable:
     """The log table as one frame numbers it.
 
     The frame's encode read the table's first ``seen`` entries; by
-    the time the frame is replayed (or appended), frames that became
-    durable meanwhile may have added more. A ref below ``seen`` reads
+    the time the frame is replayed, frames that became durable
+    meanwhile may have added more. A ref below ``seen`` reads
     the log table; ref ``seen + i`` reads the frame's own ``i``-th
     node, which this view collects in ``local`` instead of the table.
     """
@@ -381,16 +375,6 @@ def _read_diff(generation: int, payload: bytes, pos: int, *,
     return WalFrame(generation, removed, added)
 
 
-def _frame_view(generation: int, seen: int, log: Sequence[SSObject]):
-    """A :class:`_FrameTable` over ``log``, or :class:`CodecError`
-    when the frame references entries the log table does not hold."""
-    if seen > len(log):
-        raise CodecError(
-            f"WAL frame {generation} references {seen} log-table "
-            f"entries, but only {len(log)} precede it")
-    return _FrameTable(log, seen)
-
-
 def decode_frame_payload(payload: bytes, *, intern: bool,
                          table: list[SSObject] | None = None) -> WalFrame:
     """Parse one frame payload; raises :class:`CodecError` on damage.
@@ -415,7 +399,11 @@ def decode_frame_payload(payload: bytes, *, intern: bool,
         except CodecError:
             del table[mark:]
             raise
-    view = _frame_view(generation, seen, table)
+    if seen > mark:
+        raise CodecError(
+            f"WAL frame {generation} references {seen} log-table "
+            f"entries, but only {mark} precede it")
+    view = _FrameTable(table, seen)
     frame = _read_diff(generation, payload, pos, intern=intern, table=view)
     table.extend(view.local)
     return frame
@@ -545,10 +533,10 @@ class WriteAheadLog:
     file is recreated fresh at ``base_generation``, and a version-1 log
     is rewritten as version 2 (its intact frames re-encoded through one
     table). Appends are serialized by the owning
-    :class:`~repro.store.database.Database` (its publish lock, held by a
-    :class:`GroupCommitter` leader or a serialized commit); each append
-    is flushed and fsynced before it returns, so a frame that was
-    appended is a frame recovery will see. ``table`` is the writer's
+    :class:`~repro.store.database.Database` (its publish lock, held by
+    the :class:`GroupCommitter` batch leader); each append is flushed
+    and fsynced before it returns, so a frame that was appended is a
+    frame recovery will see. ``table`` is the writer's
     :class:`LogTable`, rebuilt on open from the nodes replay decoded.
 
     **Durability contract of ``fsync=False``.** Every append still
@@ -663,66 +651,23 @@ class WriteAheadLog:
     def closed(self) -> bool:
         return self._handle is None
 
-    def append(self, generation: int, removed: Iterable[Data],
-               added: Iterable[Data]) -> None:
-        """Durably log one commit; must precede the MVCC publish.
+    def append_batch(self, frames: Sequence[tuple[int, FrameBody]],
+                     ) -> None:
+        """Durably log a batch of commits: one ``write``, one
+        ``flush``, one ``fsync``, however many commits ride along; it
+        must precede the MVCC publish of their generations.
 
-        The frame is written, flushed and fsynced before this returns:
-        once a reader can observe the new generation, its frame is on
-        disk. On any write/fsync failure the partial frame is truncated
-        away again, so a failed append never leaves bytes a later
-        append would bury mid-log. (``fsync=False`` skips only the
-        fsync — the flush still happens, see the class docs.)
-        """
-        self.append_batch([(generation, encode_frame_body(
-            tuple(removed), tuple(added), table=self.table))])
-
-    def _stage(self, generation: int, frame: bytes, table: LogTable,
-               ) -> tuple[bytes, Sequence[SSObject], Sequence[Data],
-                          Sequence[Data]]:
-        """``(frame bytes, nodes it defines, removed, added)`` for one
-        batch entry, checked against ``table``."""
-        if isinstance(frame, FrameBody):
-            if frame.table is not None and frame.table is not table:
-                # Encoded against a table compaction has replaced: its
-                # log refs would land on other entries of this one.
-                frame = encode_frame_body(frame.removed, frame.added,
-                                          table=table)
-            return (frame_from_body(generation, frame), frame.defined,
-                    frame.removed, frame.added)
-        # A complete frame (encode_frame): decode it against the table
-        # for the nodes it defines, which must not reach the table
-        # before the batch is on disk.
-        found = _frame_at(frame, 0)
-        if found is None or found[1] != len(frame):
-            raise CodecError("malformed WAL frame")
-        payload = found[0]
-        framed, seen, pos = _frame_prefix(payload)
-        if framed != generation:
-            raise CodecError(
-                f"WAL frame of generation {framed} appended as "
-                f"{generation}")
-        view = _frame_view(generation, seen, table.nodes)
-        decoded = _read_diff(generation, payload, pos,
-                             intern=self.interned, table=view)
-        return frame, view.local, decoded.removed, decoded.added
-
-    def append_batch(self, frames: Sequence[tuple[int, bytes]]) -> None:
-        """Durably log a batch of frames: one ``write``, one ``flush``,
-        one ``fsync``, however many commits ride along.
-
-        ``frames`` is ``(generation, frame)`` pairs in the contiguous
-        generation order the log requires. A frame is a
-        :class:`FrameBody` (:func:`encode_frame_body`), which this
-        stamps with its generation — re-encoding it first if it
-        references a table compaction has replaced — or a complete
-        frame (:func:`encode_frame`). This is the group-commit
+        ``frames`` is ``(generation, body)`` pairs in the contiguous
+        generation order the log requires, each body from
+        :func:`encode_frame_body`; this stamps every body with its
+        generation (:func:`frame_from_body`). This is the group-commit
         amortization point: a leader draining N queued committers pays
         the syscall pair once instead of N times. Only once the fsync
-        has retired do the batch's nodes enter :attr:`table`. Failure
-        semantics match :meth:`append` — any write or fsync error
-        truncates the partial batch away, so the log never buries
-        garbage mid-file, and leaves the table as it was.
+        has retired do the batch's nodes enter :attr:`table`. Any
+        write or fsync error truncates the partial batch away, so the
+        log never buries garbage mid-file, and leaves the table as it
+        was. (``fsync=False`` skips only the fsync — the flush still
+        happens, see the class docs.)
         """
         handle = self._handle
         if handle is None:
@@ -737,9 +682,15 @@ class WriteAheadLog:
                     f"{generation} after {expected - 1}")
             expected += 1
         table = self.table
-        staged = [self._stage(generation, frame, table)
-                  for generation, frame in frames]
-        blob = b"".join(encoded for encoded, _, _, _ in staged)
+        # A body encoded against a table compaction has replaced would
+        # land its log refs on other entries of this one: re-encode it.
+        bodies = [body if body.table is None or body.table is table
+                  else encode_frame_body(body.removed, body.added,
+                                         table=table)
+                  for _, body in frames]
+        staged = [frame_from_body(generation, body)
+                  for (generation, _), body in zip(frames, bodies)]
+        blob = b"".join(staged)
         _maybe_crash("pre-append")
         if _crash_armed("mid-append"):
             # Torn-write simulation: half the batch reaches the OS,
@@ -752,7 +703,7 @@ class WriteAheadLog:
             # Leader death mid-batch: the batch's first frame is fully
             # written and flushed, the rest never happen. Recovery
             # must land on a committed prefix *inside* the batch.
-            handle.write(staged[0][0])
+            handle.write(staged[0])
             handle.flush()
             _kill_self()
         try:
@@ -775,11 +726,10 @@ class WriteAheadLog:
         self.frames_appended += len(frames)
         self.sync_batches += 1
         tail = self._tail
-        for (generation, _), (_, defined, removed, added) in zip(frames,
-                                                                 staged):
-            table.extend(defined)
+        for (generation, _), body in zip(frames, bodies):
+            table.extend(body.defined)
             if tail is not None:
-                tail.append((generation, removed, added))
+                tail.append((generation, body.removed, body.added))
 
     def keep_tail(self) -> None:
         """Keep the diff of every frame appended from now on.
@@ -841,9 +791,8 @@ class CommitTicket:
     generation is assigned and its frame encoded; carries everything
     the batch leader needs to make the commit durable and visible:
     the ``frame`` for :meth:`WriteAheadLog.append_batch` (a
-    :class:`FrameBody` the log stamps with ``generation``, or a
-    complete frame), the ``state`` to publish once the batch's fsync
-    retires, and an opaque
+    :class:`FrameBody` the log stamps with ``generation``), the
+    ``state`` to publish once the batch's fsync retires, and an opaque
     ``cache_step`` the store uses to advance its query-result cache in
     generation order. ``done``/``error`` are written by the leader
     under the committer's condition lock and read by the follower
@@ -853,7 +802,7 @@ class CommitTicket:
     __slots__ = ("generation", "frame", "state", "cache_step",
                  "done", "error")
 
-    def __init__(self, generation: int, frame: bytes, state=None,
+    def __init__(self, generation: int, frame: FrameBody, state=None,
                  cache_step=None):
         self.generation = generation
         self.frame = frame
@@ -887,10 +836,10 @@ class GroupCommitter:
     fresh leader linger before draining so even non-overlapping
     writers coalesce; zero (the default) drains immediately.
 
-    ``commit_lock``, when given, is held across *append + on_durable*:
-    the owning store passes its publish lock here so the pair
-    "(log contents, published state)" mutates atomically with respect
-    to compaction's pin-and-swap sections.
+    ``commit_lock`` is held across *append + on_durable*: the owning
+    store passes its publish lock here so the pair "(log contents,
+    published state)" mutates atomically with respect to compaction's
+    pin-and-swap sections.
 
     If the batch append fails, the leader calls ``on_abort(batch,
     exc)`` — *outside* ``commit_lock``, so the store may take its own
@@ -900,12 +849,11 @@ class GroupCommitter:
     """
 
     def __init__(self, log: WriteAheadLog, *,
-                 commit_interval: float = 0.0,
-                 commit_lock=None,
-                 on_durable: Callable[[list[CommitTicket]], None]
-                 | None = None,
+                 commit_lock: threading.Lock,
+                 on_durable: Callable[[list[CommitTicket]], None],
                  on_abort: Callable[[list[CommitTicket], BaseException],
-                                    None] | None = None):
+                                    None],
+                 commit_interval: float = 0.0):
         self._log = log
         self._interval = min(max(commit_interval, 0.0), 1.0)
         self._commit_lock = commit_lock
@@ -914,9 +862,9 @@ class GroupCommitter:
         self._cond = threading.Condition()
         self._queue: list[CommitTicket] = []
         self._leader_active = False
-        #: Batches retired and the largest one seen — the committer's
-        #: own view of how much coalescing happened.
-        self.batches = 0
+        #: The largest batch retired so far: the committer's own view
+        #: of how much coalescing happened (``WriteAheadLog`` counts
+        #: the frames and fsynced batches).
         self.max_batch = 0
 
     def register(self, ticket: CommitTicket) -> None:
@@ -964,25 +912,16 @@ class GroupCommitter:
         if not batch:
             return
         try:
-            if self._commit_lock is not None:
-                with self._commit_lock:
-                    self._log.append_batch(
-                        [(t.generation, t.frame) for t in batch])
-                    if self._on_durable is not None:
-                        self._on_durable(batch)
-            else:
+            with self._commit_lock:
                 self._log.append_batch(
                     [(t.generation, t.frame) for t in batch])
-                if self._on_durable is not None:
-                    self._on_durable(batch)
+                self._on_durable(batch)
         except BaseException as exc:
             # Outside commit_lock by now: the abort hook may take the
             # store's writer lock to reset its head chain.
-            if self._on_abort is not None:
-                self._on_abort(batch, exc)
+            self._on_abort(batch, exc)
             self.fail(batch, exc)
             return
-        self.batches += 1
         self.max_batch = max(self.max_batch, len(batch))
         with self._cond:
             for t in batch:

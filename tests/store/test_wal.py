@@ -15,9 +15,16 @@ from repro.core.builder import bottom, data, orv, pset, tup
 from repro.core.data import DataSet
 from repro.core.errors import CodecError
 from repro.store import Database, WriteAheadLog, scan_wal
-from repro.store.wal import encode_frame, wal_path
+from repro.store.wal import encode_frame_body, frame_from_body, wal_path
 
 from tests.harness.crashsim import apply_commit, expected_states
+
+
+def append_frame(log, generation, removed, added):
+    """Durably log one commit as a one-frame batch, its body encoded
+    against the log table: what a lone writer's commit appends."""
+    log.append_batch([(generation, encode_frame_body(
+        tuple(removed), tuple(added), table=log.table))])
 
 
 def sample_diff():
@@ -34,8 +41,8 @@ class TestFrameCodec:
         removed, added = sample_diff()
         with WriteAheadLog(tmp_path / "db.wal",
                            base_generation=4) as log:
-            log.append(5, removed, added)
-            log.append(6, (), (data("m3", tup(seq=3)),))
+            append_frame(log, 5, removed, added)
+            append_frame(log, 6, (), (data("m3", tup(seq=3)),))
         scan = scan_wal(tmp_path / "db.wal")
         assert scan.header_valid
         assert scan.base_generation == 4
@@ -50,16 +57,16 @@ class TestFrameCodec:
         # encoding it alone yields the same bytes every time (frames
         # that share the log's table are in test_wal_table.py).
         removed, added = sample_diff()
-        assert encode_frame(1, removed, added) == \
-            encode_frame(1, removed, added)
+        assert frame_from_body(1, encode_frame_body(removed, added)) == \
+            frame_from_body(1, encode_frame_body(removed, added))
 
     def test_append_requires_contiguous_generation(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal", base_generation=3)
         with pytest.raises(CodecError, match="non-contiguous"):
-            log.append(3, (), ())  # duplicate of the base
+            append_frame(log, 3, (), ())  # duplicate of the base
         with pytest.raises(CodecError, match="non-contiguous"):
-            log.append(5, (), ())  # skips generation 4
-        log.append(4, (), (data("m", tup(x=1)),))
+            append_frame(log, 5, (), ())  # skips generation 4
+        append_frame(log, 4, (), (data("m", tup(x=1)),))
         log.close()
 
     def test_append_after_close_raises(self, tmp_path):
@@ -67,7 +74,7 @@ class TestFrameCodec:
         log.close()
         assert log.closed
         with pytest.raises(CodecError, match="closed"):
-            log.append(1, (), ())
+            append_frame(log, 1, (), ())
 
 
 class TestScanSemantics:
@@ -88,7 +95,7 @@ class TestScanSemantics:
     def test_corrupt_header_yields_empty_prefix(self, tmp_path):
         path = tmp_path / "db.wal"
         with WriteAheadLog(path) as log:
-            log.append(1, (), (data("m", tup(x=1)),))
+            append_frame(log, 1, (), (data("m", tup(x=1)),))
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF  # break the magic
         path.write_bytes(bytes(blob))
@@ -100,9 +107,9 @@ class TestScanSemantics:
     def test_duplicated_frame_ends_prefix(self, tmp_path):
         path = tmp_path / "db.wal"
         with WriteAheadLog(path) as log:
-            log.append(1, (), (data("m1", tup(x=1)),))
+            append_frame(log, 1, (), (data("m1", tup(x=1)),))
             first_end = log.size
-            log.append(2, (), (data("m2", tup(x=2)),))
+            append_frame(log, 2, (), (data("m2", tup(x=2)),))
         blob = path.read_bytes()
         scan = scan_wal(path)
         frame_one = blob[scan.offsets[0]:first_end]
@@ -114,14 +121,14 @@ class TestScanSemantics:
     def test_reopen_truncates_torn_tail(self, tmp_path):
         path = tmp_path / "db.wal"
         with WriteAheadLog(path) as log:
-            log.append(1, (), (data("m1", tup(x=1)),))
+            append_frame(log, 1, (), (data("m1", tup(x=1)),))
             intact = log.size
         with open(path, "ab") as tear:
             tear.write(b"\x7f torn frame bytes")
         log = WriteAheadLog(path)
         assert log.size == intact
         assert path.stat().st_size == intact  # repaired in place
-        log.append(2, (), (data("m2", tup(x=2)),))
+        append_frame(log, 2, (), (data("m2", tup(x=2)),))
         log.close()
         scan = scan_wal(path)
         assert [f.generation for f in scan.frames] == [1, 2]
@@ -131,7 +138,7 @@ class TestScanSemantics:
         import os as os_module
         path = tmp_path / "db.wal"
         log = WriteAheadLog(path)
-        log.append(1, (), (data("m1", tup(x=1)),))
+        append_frame(log, 1, (), (data("m1", tup(x=1)),))
         intact = log.size
 
         calls = {"n": 0}
@@ -145,11 +152,11 @@ class TestScanSemantics:
 
         monkeypatch.setattr("repro.store.wal.os.fsync", failing_fsync)
         with pytest.raises(OSError):
-            log.append(2, (), (data("m2", tup(x=2)),))
+            append_frame(log, 2, (), (data("m2", tup(x=2)),))
         monkeypatch.undo()
         assert log.size == intact
         assert log.last_generation == 1
-        log.append(2, (), (data("m2", tup(x=2)),))  # retry succeeds
+        append_frame(log, 2, (), (data("m2", tup(x=2)),))  # retry succeeds
         log.close()
         scan = scan_wal(path)
         assert [f.generation for f in scan.frames] == [1, 2]
@@ -205,7 +212,7 @@ class TestDurableDatabase:
         finally:
             reopened.close()
 
-    def test_durable_false_degrades_to_load(self, tmp_path):
+    def test_load_reads_the_snapshot_without_a_log(self, tmp_path):
         path = tmp_path / "db.bin"
         db = self.drive(path, 3)
         db.compact()
@@ -213,6 +220,22 @@ class TestDurableDatabase:
         plain = Database.load(path)
         assert plain.wal is None
         assert plain.generation == 3
+
+    @pytest.mark.parametrize("fmt", ["binary", "json"])
+    def test_reopen_honours_result_cache_size(self, tmp_path, fmt):
+        path = tmp_path / "db.bin"
+        db = self.drive(path, 3)
+        db.save(path, format=fmt)
+        db.close()
+        text = "select * where exists title"
+        with Database.open(path, auto_compact=False,
+                           result_cache_size=0) as reopened:
+            assert reopened.cache_stats()["capacity"] == 0
+            assert reopened.query(text) == reopened.query(text)
+            assert reopened.cache_stats()["hits"] == 0
+        with Database.open(path, auto_compact=False,
+                           result_cache_size=7) as reopened:
+            assert reopened.cache_stats()["capacity"] == 7
 
     def test_compact_truncates_log_and_preserves_state(self, tmp_path):
         path = tmp_path / "db.bin"

@@ -25,11 +25,12 @@ from repro.store.wal import (
     CommitTicket,
     GroupCommitter,
     WriteAheadLog,
-    encode_frame,
     encode_frame_body,
     frame_from_body,
     wal_path,
 )
+
+from tests.store.test_wal import append_frame
 
 
 def row(i: int):
@@ -40,21 +41,37 @@ def rows(n: int):
     return [row(i) for i in range(1, n + 1)]
 
 
+def hooks(**overrides):
+    """The three hooks a store passes its committer, as no-ops unless
+    overridden."""
+    return {"commit_lock": threading.Lock(),
+            "on_durable": lambda batch: None,
+            "on_abort": lambda batch, exc: None, **overrides}
+
+
 class TestFrameBodySplit:
-    def test_stamped_body_equals_whole_frame_encoding(self):
+    def test_stamped_body_equals_whole_frame_encoding(self, tmp_path):
+        # The log appends exactly the stamped body after its header.
         removed = (row(1),)
         added = (row(2), row(3))
         body = encode_frame_body(removed, added)
-        assert frame_from_body(7, body) == encode_frame(7, removed,
-                                                        added)
+        log = WriteAheadLog(tmp_path / "db.wal", base_generation=6)
+        header = log.size
+        log.append_batch([(7, body)])
+        log.close()
+        blob = (tmp_path / "db.wal").read_bytes()
+        assert blob[header:] == frame_from_body(7, body)
+        frame = scan_wal(tmp_path / "db.wal", intern=True).frames[0]
+        assert (frame.generation, frame.removed, frame.added) == \
+            (7, removed, added)
 
     def test_same_body_stamps_any_generation(self):
         # The point of the split: encode once outside the lock, learn
         # the generation later.
         body = encode_frame_body((), (row(1),))
         assert frame_from_body(1, body) != frame_from_body(2, body)
-        assert frame_from_body(3, body) == encode_frame(3, (),
-                                                        (row(1),))
+        assert frame_from_body(3, body) == frame_from_body(
+            3, encode_frame_body((), (row(1),)))
 
 
 class TestAppendBatch:
@@ -69,7 +86,7 @@ class TestAppendBatch:
     def test_batch_appends_all_frames_in_one_sync(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
         log.append_batch([
-            (g, encode_frame(g, (), (row(g),))) for g in (1, 2, 3)])
+            (g, encode_frame_body((), (row(g),))) for g in (1, 2, 3)])
         assert log.last_generation == 3
         assert log.frames_appended == 3
         assert log.sync_batches == 1
@@ -83,8 +100,8 @@ class TestAppendBatch:
         log = WriteAheadLog(tmp_path / "db.wal")
         with pytest.raises(CodecError, match="non-contiguous"):
             log.append_batch([
-                (1, encode_frame(1, (), (row(1),))),
-                (3, encode_frame(3, (), (row(3),)))])
+                (1, encode_frame_body((), (row(1),))),
+                (3, encode_frame_body((), (row(3),)))])
         # Nothing may have reached the log.
         assert log.last_generation == 0
         assert log.frames_appended == 0
@@ -93,16 +110,16 @@ class TestAppendBatch:
 
     def test_rejects_batch_not_chaining_from_head(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
-        log.append(1, (), (row(1),))
+        append_frame(log, 1, (), (row(1),))
         with pytest.raises(CodecError, match="non-contiguous"):
-            log.append_batch([(3, encode_frame(3, (), (row(3),)))])
+            log.append_batch([(3, encode_frame_body((), (row(3),)))])
         log.close()
 
     def test_closed_log_raises(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
         log.close()
         with pytest.raises(CodecError, match="closed"):
-            log.append_batch([(1, encode_frame(1, (), (row(1),)))])
+            log.append_batch([(1, encode_frame_body((), (row(1),)))])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -114,7 +131,7 @@ class TestAppendBatch:
         commits = data_strategy.draw(st.integers(1, 10), label="commits")
         cuts = data_strategy.draw(
             st.sets(st.integers(1, max(1, commits - 1))), label="cuts")
-        frames = [(g, encode_frame(g, (), (row(g),)))
+        frames = [(g, encode_frame_body((), (row(g),)))
                   for g in range(1, commits + 1)]
         base = tmp_path_factory.mktemp("walgroup")
         single = WriteAheadLog(base / "single.wal")
@@ -138,10 +155,17 @@ class TestAppendBatch:
 class TestGroupCommitter:
     def test_single_ticket_commits_durably(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
+        lock = threading.Lock()
         published = []
-        committer = GroupCommitter(
-            log, on_durable=lambda batch: published.extend(batch))
-        ticket = CommitTicket(1, encode_frame(1, (), (row(1),)))
+
+        def on_durable(batch):
+            assert lock.locked()  # appended and published in one hold
+            published.extend(batch)
+
+        committer = GroupCommitter(log, **hooks(commit_lock=lock,
+                                                on_durable=on_durable))
+        ticket = CommitTicket(1, encode_frame_body((), (row(1),),
+                                                   table=log.table))
         committer.register(ticket)
         committer.commit(ticket)
         assert ticket.done and ticket.error is None
@@ -153,11 +177,19 @@ class TestGroupCommitter:
                                                           tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
         log.close()  # every append will now raise
+        lock = threading.Lock()
+        published = []
         aborted = []
-        committer = GroupCommitter(
-            log, on_abort=lambda batch, exc: aborted.extend(batch))
-        first = CommitTicket(1, b"")
-        second = CommitTicket(2, b"")
+
+        def on_abort(batch, exc):
+            assert not lock.locked()  # free to take the writer lock
+            aborted.extend(batch)
+
+        committer = GroupCommitter(log, **hooks(
+            commit_lock=lock, on_durable=published.extend,
+            on_abort=on_abort))
+        first = CommitTicket(1, encode_frame_body((), (row(1),)))
+        second = CommitTicket(2, encode_frame_body((), (row(2),)))
         committer.register(first)
         committer.register(second)
         with pytest.raises(CodecError, match="closed"):
@@ -166,12 +198,14 @@ class TestGroupCommitter:
         with pytest.raises(CodecError, match="closed"):
             committer.commit(second)
         assert aborted == [first, second]
+        assert published == []
 
     def test_commit_interval_is_clamped(self, tmp_path):
         log = WriteAheadLog(tmp_path / "db.wal")
-        committer = GroupCommitter(log, commit_interval=99.0)
+        committer = GroupCommitter(log, commit_interval=99.0, **hooks())
         assert committer._interval == 1.0
-        assert GroupCommitter(log, commit_interval=-3)._interval == 0.0
+        assert GroupCommitter(log, commit_interval=-3,
+                              **hooks())._interval == 0.0
         log.close()
 
 
@@ -228,37 +262,58 @@ class TestApplyMany:
 
 
 class TestModeEquivalence:
-    def test_group_and_serialized_commits_agree(self, tmp_path):
-        """The equality oracle: same workload through group commit,
-        the serialized baseline and a plain in-memory store must land
-        on identical contents and generations."""
+    def test_group_commit_agrees_with_the_transient_oracle(self,
+                                                           tmp_path):
+        """The equality oracle: the same workload through a durable
+        group-commit store and a plain in-memory store must land on
+        identical contents and generations, live and reopened."""
+        path = tmp_path / "db.bin"
         oracle = Database()
-        stores = {}
-        for mode, kwargs in [("group", {"group_commit": True}),
-                             ("serial", {"group_commit": False})]:
-            db = Database.open(tmp_path / f"{mode}.bin",
-                               auto_compact=False, **kwargs)
-            stores[mode] = db
+        db = Database.open(path, auto_compact=False)
         try:
-            for db in [oracle, *stores.values()]:
+            for store in (oracle, db):
                 for r in rows(6):
-                    assert db.insert(r)
-                assert db.remove(row(2))
-                db.apply_many(removed=[row(3)], added=[row(7)])
-            for mode, db in stores.items():
-                assert db.generation == oracle.generation, mode
-                assert db.snapshot() == oracle.snapshot(), mode
+                    assert store.insert(r)
+                assert store.remove(row(2))
+                store.apply_many(removed=[row(3)], added=[row(7)])
+            assert db.generation == oracle.generation
+            assert db.snapshot() == oracle.snapshot()
         finally:
-            for db in stores.values():
-                db.close()
-        for mode in stores:
-            reopened = Database.open(tmp_path / f"{mode}.bin",
-                                     auto_compact=False)
-            try:
-                assert reopened.generation == oracle.generation
-                assert reopened.snapshot() == oracle.snapshot()
-            finally:
-                reopened.close()
+            db.close()
+        with Database.open(path, auto_compact=False) as reopened:
+            assert reopened.generation == oracle.generation
+            assert reopened.snapshot() == oracle.snapshot()
+
+    def test_sequential_commits_are_one_batch_each(self, tmp_path,
+                                                   monkeypatch):
+        """One writer at a time leads its own one-frame batch: every
+        commit is appended and fsynced alone before it returns."""
+        import os as os_module
+
+        db = Database.open(tmp_path / "db.bin", auto_compact=False)
+        fsyncs = []
+        real_fsync = os_module.fsync
+
+        def counting_fsync(descriptor):
+            fsyncs.append(descriptor)
+            return real_fsync(descriptor)
+
+        monkeypatch.setattr("repro.store.wal.os.fsync", counting_fsync)
+        try:
+            for r in rows(4):
+                assert db.insert(r)
+            db.insert_all(rows(6))
+            db.apply_many(removed=[row(1)], added=[row(7)])
+            assert db.remove(row(2))
+            commits = db.generation
+            assert commits == 7
+            assert db.wal.frames_appended == commits
+            assert db.wal.sync_batches == commits
+            assert len(fsyncs) == commits
+            assert db._committer.max_batch == 1
+        finally:
+            monkeypatch.undo()
+            db.close()
 
 
 @pytest.mark.stress

@@ -26,17 +26,17 @@ import pytest
 from repro.binary_codec import pack_uvarint
 from repro.core.builder import cset, data, orv, pset, tup
 from repro.core.data import Data, DataSet
-from repro.core.errors import CodecError
 from repro.core.intern import clear_pool
 from repro.core.objects import Atom
 from repro.store import Database, WriteAheadLog, scan_wal
 from repro.store.wal import (
     WAL_VERSION,
-    encode_frame,
     encode_frame_body,
     frame_from_body,
     wal_path,
 )
+
+from tests.store.test_wal import append_frame
 
 K = ("type", "title")
 
@@ -137,7 +137,7 @@ class TestSharedTable:
         # frame's nodes after the ones before it.
         path = tmp_path / "db.bin"
         log = WriteAheadLog(wal_path(path))
-        log.append(1, (), (entry(1),))
+        append_frame(log, 1, (), (entry(1),))
         shared = entry(2)
         first = encode_frame_body((), (shared,), table=log.table)
         second = encode_frame_body((shared,), (entry(3),),
@@ -176,7 +176,7 @@ class TestRecoveryBounds:
             body = (pack_uvarint(size) + pack_uvarint(0) + pack_uvarint(1)
                     + bytes((0x10,)) + pack_uvarint(size + 3)
                     + pack_uvarint(size + 4))
-        later = encode_frame(4, (), (entry(9),))
+        later = frame_from_body(4, encode_frame_body((), (entry(9),)))
         wal_path(path).write_bytes(intact + frame_from_body(3, body)
                                    + later)
         scan = scan_wal(wal_path(path), intern=True)
@@ -188,14 +188,6 @@ class TestRecoveryBounds:
             assert wal_path(path).stat().st_size == len(intact)
             db.insert(entry(9))
             assert_table_mirrors_log(db)
-
-    def test_append_rejects_a_frame_past_the_table(self, tmp_path):
-        log = WriteAheadLog(tmp_path / "db.wal")
-        body = pack_uvarint(3) + pack_uvarint(0) + pack_uvarint(0)
-        with pytest.raises(CodecError, match="references 3 log-table"):
-            log.append_batch([(1, frame_from_body(1, body))])
-        assert log.last_generation == 0
-        log.close()
 
 
 class TestCompaction:
@@ -262,12 +254,12 @@ class TestCompaction:
         path = tmp_path / "db.wal"
         log = WriteAheadLog(path)
         small = [entry(1), entry(2)]
-        log.append(1, (), small)
+        append_frame(log, 1, (), small)
         seen = len(log.table)
         stale = encode_frame_body((small[0],), (entry(3, note="n"),),
                                   table=log.table)
         log.keep_tail()
-        log.append(2, (), list(source(10, 40)))
+        append_frame(log, 2, (), list(source(10, 40)))
         temp, table = log.rewrite_temp(1)
         log.swap(temp, 1, table)
         assert len(log.table) > seen
