@@ -30,34 +30,15 @@ query's columnar and row-scan results must equal its naive result, and
 the sampled plans must actually report the ``columnar`` strategy. The
 full run additionally requires the aggregate residual phases to beat
 the compiled row scan by at least ``MIN_SPEEDUP``×.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_columnar.py           # full
-    PYTHONPATH=src python benchmarks/bench_columnar.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_columnar.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.query import (  # noqa: E402
-    compile_columnar,
-    compile_condition,
-    parse_query_spec,
-)
-from repro.store import ColumnStore  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import build_store, main, scan_phase, speedup
+from repro.query import parse_query_spec
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: The acceptance floor: the aggregate residual phases (everything but
 #: ``point_eq``) must beat the compiled row scan by at least this
@@ -74,64 +55,11 @@ RESIDUAL_PHASES = ("year_range", "disjunctive", "contains", "not_exists")
 SELECTIVE_HITS = 32
 
 
-def _build(entries: int, seed: int):
-    workload = generate_workload(BibWorkloadSpec(
-        entries=entries, sources=1, overlap=0.0, null_rate=0.15,
-        conflict_rate=0.0, partial_author_rate=0.3, seed=seed))
-    dataset = workload.sources[0]
-    list(dataset)  # warm the canonical-order memo outside the timings
-
-    start = time.perf_counter()
-    store = ColumnStore.build(dataset)
-    build_seconds = time.perf_counter() - start
-    return dataset, store, build_seconds
-
-
-def _phase(dataset, store, texts: list[str]) -> dict:
-    """Run every query columnar, row-scan and naive; assert equality."""
-    specs = [parse_query_spec(text) for text in texts]
-    # Compile both sides outside the timed regions so the measurement
-    # is scan time, not one-off condition compilation.
-    for spec in specs:
-        compile_condition(spec.condition)
-        compile_columnar(spec.condition)
-
-    start = time.perf_counter()
-    columnar = [spec.query(dataset, columns=store).run()
-                for spec in specs]
-    columnar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    rowscan = [spec.query(dataset).run() for spec in specs]
-    rowscan_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    naive = [spec.query(dataset).run(naive=True) for spec in specs]
-    naive_seconds = time.perf_counter() - start
-
-    mismatches = [text for text, fast, row, slow
-                  in zip(texts, columnar, rowscan, naive)
-                  if fast != slow or row != slow]
-    plans_columnar = all(
-        spec.query(dataset, columns=store).explain().strategy
-        == "columnar"
-        for spec in specs[:5])
-
-    return {
-        "queries": len(texts),
-        "result_rows": sum(len(result) for result in columnar),
-        "columnar_seconds": round(columnar_seconds, 6),
-        "rowscan_seconds": round(rowscan_seconds, 6),
-        "naive_seconds": round(naive_seconds, 6),
-        "speedup": round(rowscan_seconds / columnar_seconds, 2)
-        if columnar_seconds else None,
-        "plans_columnar": plans_columnar,
-        "mismatches": mismatches,
-    }
-
-
 def run(entries: int, queries: int, seed: int = 13) -> dict:
-    dataset, store, build_seconds = _build(entries, seed)
+    dataset = generate_workload(BibWorkloadSpec(
+        entries=entries, sources=1, overlap=0.0, null_rate=0.15,
+        conflict_rate=0.0, partial_author_rate=0.3, seed=seed)).sources[0]
+    build_seconds, store = build_store(dataset)
 
     spread = max(1, queries)
     year_texts = [
@@ -161,21 +89,17 @@ def run(entries: int, queries: int, seed: int = 13) -> dict:
                    for i in range(max(2, spread // 2))]
 
     phases = {
-        "year_range": _phase(dataset, store, year_texts),
-        "disjunctive": _phase(dataset, store, disjunctive_texts),
-        "contains": _phase(dataset, store, contains_texts),
-        "contains_selective": _phase(dataset, store, selective_texts),
-        "not_exists": _phase(dataset, store, not_exists_texts),
-        "point_eq": _phase(dataset, store, point_texts),
+        "year_range": scan_phase(dataset, store, year_texts),
+        "disjunctive": scan_phase(dataset, store, disjunctive_texts),
+        "contains": scan_phase(dataset, store, contains_texts),
+        "contains_selective": scan_phase(dataset, store, selective_texts),
+        "not_exists": scan_phase(dataset, store, not_exists_texts),
+        "point_eq": scan_phase(dataset, store, point_texts),
     }
 
     phases["contains_selective"]["max_hits"] = max(
         len(parse_query_spec(text).query(dataset, columns=store).run())
         for text in selective_texts)
-    residual_columnar = sum(phases[name]["columnar_seconds"]
-                            for name in RESIDUAL_PHASES)
-    residual_rowscan = sum(phases[name]["rowscan_seconds"]
-                           for name in RESIDUAL_PHASES)
     return {
         "benchmark": "columnar",
         "workload": {
@@ -187,9 +111,10 @@ def run(entries: int, queries: int, seed: int = 13) -> dict:
             "store_build_seconds": round(build_seconds, 6),
         },
         "phases": phases,
-        "residual_speedup": round(
-            residual_rowscan / residual_columnar, 2)
-        if residual_columnar else None,
+        "residual_speedup": speedup(
+            sum(phases[name]["rowscan_seconds"] for name in RESIDUAL_PHASES),
+            sum(phases[name]["columnar_seconds"]
+                for name in RESIDUAL_PHASES)),
         "plans_columnar": all(phase["plans_columnar"]
                               for phase in phases.values()),
         "oracle_equal": all(not phase["mismatches"]
@@ -197,49 +122,25 @@ def run(entries: int, queries: int, seed: int = 13) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floor, keeps the equality oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entries=300, queries=8)
-    else:
-        report = run(entries=10_000, queries=40)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["oracle_equal"]:
         bad = [query for phase in report["phases"].values()
                for query in phase["mismatches"]]
-        print(f"FAIL: columnar/row-scan results differ from the naive "
-              f"oracle for {len(bad)} "
-              f"quer{'y' if len(bad) == 1 else 'ies'}", file=sys.stderr)
-        return 1
+        yield (f"columnar/row-scan results differ from the naive "
+               f"oracle for {len(bad)} "
+               f"quer{'y' if len(bad) == 1 else 'ies'}")
     if not report["plans_columnar"]:
-        print("FAIL: expected columnar-strategy plans, got scans",
-              file=sys.stderr)
-        return 1
+        yield "expected columnar-strategy plans, got scans"
     hits = report["phases"]["contains_selective"]["max_hits"]
     if hits > SELECTIVE_HITS:
-        print(f"FAIL: a contains_selective needle hit {hits} titles, "
-              f"past the {SELECTIVE_HITS}-hit walk budget",
-              file=sys.stderr)
-        return 1
-    speedup = report["residual_speedup"]
-    if not args.smoke and (speedup is None or speedup < MIN_SPEEDUP):
-        print(f"FAIL: residual-scan speedup {speedup}x is below the "
-              f"{MIN_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    return 0
+        yield (f"a contains_selective needle hit {hits} titles, "
+               f"past the {SELECTIVE_HITS}-hit walk budget")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300, queries=8),
+        full=dict(entries=10_000, queries=40), checks=failures,
+        floors=[("residual-scan speedup", "residual_speedup",
+                 MIN_SPEEDUP)]))

@@ -20,31 +20,18 @@ into a :class:`~repro.store.database.Database`. Two phases:
   own naive scan).
 
 All equality oracles run on **every** invocation, full and smoke.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_concurrency.py           # full
-    PYTHONPATH=src python benchmarks/bench_concurrency.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_concurrency.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import threading
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.core.builder import data, tup  # noqa: E402
-from repro.store.database import Database  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import main, speedup, timed
+from repro.core.builder import data, tup
+from repro.store.database import Database
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: Full-run floor: cached re-reads must beat uncached execution by this.
 MIN_CACHED_SPEEDUP = 5.0
@@ -84,17 +71,13 @@ def _phase_cached_read(dataset, repeats: int) -> dict:
             mismatches.append(text)
         uncached_db.query(text)
 
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for text in CACHED_QUERIES:
-            cached_db.query(text)
-    cached_seconds = time.perf_counter() - start
+    def reread(database) -> None:
+        for _ in range(repeats):
+            for text in CACHED_QUERIES:
+                database.query(text)
 
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for text in CACHED_QUERIES:
-            uncached_db.query(text)
-    uncached_seconds = time.perf_counter() - start
+    cached_seconds, _ = timed(lambda: reread(cached_db))
+    uncached_seconds, _ = timed(lambda: reread(uncached_db))
 
     stats = cached_db.cache_stats()
     return {
@@ -102,8 +85,7 @@ def _phase_cached_read(dataset, repeats: int) -> dict:
         "repeats": repeats,
         "cached_seconds": round(cached_seconds, 6),
         "uncached_seconds": round(uncached_seconds, 6),
-        "speedup": round(uncached_seconds / cached_seconds, 2)
-        if cached_seconds else None,
+        "speedup": speedup(uncached_seconds, cached_seconds),
         "cache_hits": stats["hits"],
         "mismatches": mismatches,
     }
@@ -196,48 +178,24 @@ def run(entries: int, *, repeats: int, readers: int, writes: int,
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floor, keeps every equality oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entries=300, repeats=10, readers=2, writes=20,
-                     reads_per_thread=40)
-    else:
-        report = run(entries=10_000, repeats=20, readers=4, writes=200,
-                     reads_per_thread=300)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
-    failures = 0
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["oracle_equal"]:
         bad = [entry for phase in report["phases"].values()
                for entry in phase["mismatches"]]
-        print(f"FAIL: {len(bad)} read(s) differ from the naive scan at "
-              f"the same generation: {bad[:5]}", file=sys.stderr)
-        failures += 1
-    concurrent = report["phases"]["concurrent_readers"]
-    if concurrent["retags"] < 1:
-        print("FAIL: footprint-disjoint writes never re-tagged a cache "
-              "entry — precise invalidation is not engaging",
-              file=sys.stderr)
-        failures += 1
-    if not args.smoke:
-        cached = report["cached_read_speedup"]
-        if cached is None or cached < MIN_CACHED_SPEEDUP:
-            print(f"FAIL: cached-read speedup {cached}x is below the "
-                  f"{MIN_CACHED_SPEEDUP}x floor", file=sys.stderr)
-            failures += 1
-    return 1 if failures else 0
+        yield (f"{len(bad)} read(s) differ from the naive scan at "
+               f"the same generation: {bad[:5]}")
+    if report["phases"]["concurrent_readers"]["retags"] < 1:
+        yield ("footprint-disjoint writes never re-tagged a cache "
+               "entry — precise invalidation is not engaging")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300, repeats=10, readers=2, writes=20,
+                        reads_per_thread=40),
+        full=dict(entries=10_000, repeats=20, readers=4, writes=200,
+                  reads_per_thread=300),
+        checks=failures,
+        floors=[("cached-read speedup", "cached_read_speedup",
+                 MIN_CACHED_SPEEDUP)]))

@@ -11,35 +11,19 @@ through the ``naive=True`` definitional oracle and once through the
 interned, memoized fast paths. Every fast result is compared against
 the oracle (the differential contract), and the cached run must be at
 least MIN_SPEEDUP× faster overall, interning cost included.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_interning.py            # full
-    PYTHONPATH=src python benchmarks/bench_interning.py --smoke    # CI
-    PYTHONPATH=src python benchmarks/bench_interning.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.core.compatibility import compatible  # noqa: E402
-from repro.core.informativeness import less_informative  # noqa: E402
-from repro.core.intern import clear_pool, intern, intern_stats  # noqa: E402
-from repro.core.objects import (  # noqa: E402
-    Atom,
-    CompleteSet,
-    PartialSet,
-    Tuple,
-)
-from repro.core.operations import union  # noqa: E402
+from _harness import main, speedup, timed
+from repro.core.compatibility import compatible
+from repro.core.informativeness import less_informative
+from repro.core.intern import clear_pool, intern, intern_stats
+from repro.core.objects import Atom, CompleteSet, PartialSet, Tuple
+from repro.core.operations import union
 
 K = frozenset({"A", "B"})
 
@@ -77,26 +61,26 @@ def make_pairs(entities: int, repeats: int):
 
 def _check_all(pairs, naive: bool):
     results = []
-    start = time.perf_counter()
     for first, second in pairs:
         results.append((
             less_informative(first, second, naive=naive),
             compatible(first, second, K, naive=naive),
             union(first, second, K, naive=naive),
         ))
-    return time.perf_counter() - start, results
+    return results
 
 
 def run(entities: int, repeats: int) -> dict:
     pairs = make_pairs(entities, repeats)
-    naive_seconds, naive_results = _check_all(pairs, naive=True)
+    naive_seconds, naive_results = timed(
+        lambda: _check_all(pairs, naive=True))
 
     clear_pool()
-    start = time.perf_counter()
-    interned = [(intern(first), intern(second))
-                for first, second in pairs]
-    intern_seconds = time.perf_counter() - start
-    fast_seconds, fast_results = _check_all(interned, naive=False)
+    intern_seconds, interned = timed(
+        lambda: [(intern(first), intern(second))
+                 for first, second in pairs])
+    fast_seconds, fast_results = timed(
+        lambda: _check_all(interned, naive=False))
     cached_seconds = intern_seconds + fast_seconds
 
     # The differential contract, enforced on every benchmark run.
@@ -110,41 +94,20 @@ def run(entities: int, repeats: int) -> dict:
         "intern_seconds": round(intern_seconds, 6),
         "fast_seconds": round(fast_seconds, 6),
         "cached_seconds": round(cached_seconds, 6),
-        "speedup": round(naive_seconds / cached_seconds, 2),
+        "speedup": speedup(naive_seconds, cached_seconds),
         "mismatches": mismatches,
         "pool": intern_stats(),
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floor, keeps the differential check)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entities=10, repeats=6)
-    else:
-        report = run(entities=40, repeats=32)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if report["mismatches"]:
-        print(f"FAIL: {report['mismatches']} fast/naive mismatches",
-              file=sys.stderr)
-        return 1
-    if not args.smoke and report["speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup {report['speedup']}x is below the "
-              f"{MIN_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    return 0
+        yield f"{report['mismatches']} fast/naive mismatches"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entities=10, repeats=6),
+        full=dict(entities=40, repeats=32), checks=failures,
+        floors=[("speedup", "speedup", MIN_SPEEDUP)]))

@@ -22,37 +22,18 @@ hash join's pairs (``maybe`` flags included) must equal the nested
 loop's, and every columnar aggregate must equal its per-row oracle —
 partiality-preserving results (or-values, Bounds) compared exactly.
 The full run additionally enforces the speedup floors.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_join.py           # full
-    PYTHONPATH=src python benchmarks/bench_join.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_join.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.query import Query, parse_query_spec  # noqa: E402
-from repro.query.aggregates import (  # noqa: E402
-    Count,
-    Max,
-    Min,
-    Sum,
-)
-from repro.query.join import JoinQuery  # noqa: E402
-from repro.store import ColumnStore  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import main, speedup, timed
+from repro.query import Query, parse_query_spec
+from repro.query.aggregates import Count, Max, Min, Sum
+from repro.query.join import JoinQuery
+from repro.store import ColumnStore
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: Full-run acceptance floors for the two headline ratios.
 MIN_JOIN_SPEEDUP = 5.0
@@ -84,13 +65,8 @@ def _join_phase(datasets, stores) -> dict:
 
     # Hash runs first (cold key memo); the nested loop then probes with
     # warm per-object key extraction — the conservative direction.
-    start = time.perf_counter()
-    hash_rows = join.rows()
-    hash_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    naive_rows = join.rows(naive=True)
-    naive_seconds = time.perf_counter() - start
+    hash_seconds, hash_rows = timed(join.rows)
+    naive_seconds, naive_rows = timed(lambda: join.rows(naive=True))
 
     plan = join.explain()
     return {
@@ -100,8 +76,7 @@ def _join_phase(datasets, stores) -> dict:
         "maybe_pairs": sum(1 for row in hash_rows if row.maybe),
         "hash_seconds": round(hash_seconds, 6),
         "naive_seconds": round(naive_seconds, 6),
-        "speedup": round(naive_seconds / hash_seconds, 2)
-        if hash_seconds else None,
+        "speedup": speedup(naive_seconds, hash_seconds),
         "plan_strategy": plan.strategy,
         "oracle_equal": hash_rows == naive_rows,
     }
@@ -110,23 +85,21 @@ def _join_phase(datasets, stores) -> dict:
 def _agg_phase(dataset, store) -> dict:
     query = Query(dataset).with_columns(store)
 
-    start = time.perf_counter()
-    columnar_plain = query.aggregate(**AGGS)
-    columnar_grouped = query.group_aggregate("type", **AGGS)
-    columnar_seconds = time.perf_counter() - start
+    def plain_and_grouped(naive: bool):
+        return (query.aggregate(**AGGS, naive=naive),
+                query.group_aggregate("type", **AGGS, naive=naive))
 
-    start = time.perf_counter()
-    perrow_plain = query.aggregate(**AGGS, naive=True)
-    perrow_grouped = query.group_aggregate("type", **AGGS, naive=True)
-    perrow_seconds = time.perf_counter() - start
+    columnar_seconds, (columnar_plain, columnar_grouped) = timed(
+        lambda: plain_and_grouped(False))
+    perrow_seconds, (perrow_plain, perrow_grouped) = timed(
+        lambda: plain_and_grouped(True))
 
     return {
         "rows": len(dataset),
         "groups": len(columnar_grouped),
         "columnar_seconds": round(columnar_seconds, 6),
         "perrow_seconds": round(perrow_seconds, 6),
-        "speedup": round(perrow_seconds / columnar_seconds, 2)
-        if columnar_seconds else None,
+        "speedup": speedup(perrow_seconds, columnar_seconds),
         "oracle_equal": (columnar_plain == perrow_plain
                          and columnar_grouped == perrow_grouped),
     }
@@ -152,48 +125,21 @@ def run(entries: int, seed: int = 13) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floors, keeps the equality oracles)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    report = run(entries=300 if args.smoke else 10_000)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["join"]["oracle_equal"]:
-        print("FAIL: hash join differs from the nested-loop oracle",
-              file=sys.stderr)
-        return 1
+        yield "hash join differs from the nested-loop oracle"
     if not report["group_agg"]["oracle_equal"]:
-        print("FAIL: columnar aggregates differ from the per-row "
-              "oracle", file=sys.stderr)
-        return 1
+        yield "columnar aggregates differ from the per-row oracle"
     if report["join"]["plan_strategy"] != "hash":
-        print(f"FAIL: expected a hash-strategy join plan, got "
-              f"{report['join']['plan_strategy']}", file=sys.stderr)
-        return 1
-    if not args.smoke:
-        join_speedup = report["join_speedup"]
-        if join_speedup is None or join_speedup < MIN_JOIN_SPEEDUP:
-            print(f"FAIL: join speedup {join_speedup}x is below the "
-                  f"{MIN_JOIN_SPEEDUP}x floor", file=sys.stderr)
-            return 1
-        agg_speedup = report["group_agg_speedup"]
-        if agg_speedup is None or agg_speedup < MIN_GROUP_AGG_SPEEDUP:
-            print(f"FAIL: group/aggregate speedup {agg_speedup}x is "
-                  f"below the {MIN_GROUP_AGG_SPEEDUP}x floor",
-                  file=sys.stderr)
-            return 1
-    return 0
+        yield (f"expected a hash-strategy join plan, got "
+               f"{report['join']['plan_strategy']}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300), full=dict(entries=10_000),
+        checks=failures,
+        floors=[("join speedup", "join_speedup", MIN_JOIN_SPEEDUP),
+                ("group/aggregate speedup", "group_agg_speedup",
+                 MIN_GROUP_AGG_SPEEDUP)]))

@@ -21,31 +21,17 @@ Two contracts are enforced on every run, full and smoke:
 
 The full run additionally requires ``blocked`` to beat ``naive`` by at
 least ``MIN_SPEEDUP``×.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_merge_pipeline.py           # full
-    PYTHONPATH=src python benchmarks/bench_merge_pipeline.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_merge_pipeline.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.merge.engine import MergeEngine  # noqa: E402
-from repro.merge.spec import MergeSpec  # noqa: E402
-from repro.store.bulk import blocked_union  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import main, speedup, timed
+from repro.merge.engine import MergeEngine
+from repro.merge.spec import MergeSpec
+from repro.store.bulk import blocked_union
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: The acceptance floor: the blocked pipeline must beat the pairwise
 #: naive fold by at least this factor on the full workload.
@@ -57,9 +43,7 @@ def _merge(sources, strategy: str):
     engine = MergeEngine(spec)
     for index, source in enumerate(sources):
         engine.add_source(f"source{index}", source)
-    start = time.perf_counter()
-    result = engine.merge()
-    return time.perf_counter() - start, result
+    return timed(engine.merge)
 
 
 def _oracle_check(entries: int, sources: int, seed: int) -> dict:
@@ -104,52 +88,29 @@ def run(entries: int, sources: int, oracle_entries: int) -> dict:
         },
         "naive_seconds": round(naive_seconds, 6),
         "blocked_seconds": round(blocked_seconds, 6),
-        "speedup_blocked": round(naive_seconds / blocked_seconds, 2),
+        "speedup_blocked": speedup(naive_seconds, blocked_seconds),
         "results_equal": equal,
         "ground_truth_size_ok": len(naive.dataset) == expected_size,
         "oracle": _oracle_check(oracle_entries, min(sources, 4), seed=3),
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floor, keeps every equality check)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entries=300, sources=4, oracle_entries=80)
-    else:
-        report = run(entries=10_000, sources=8, oracle_entries=200)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
-    failures = [name for name, ok in report["results_equal"].items()
-                if not ok]
-    if failures:
-        print(f"FAIL: {', '.join(failures)} differ from the naive fold",
-              file=sys.stderr)
-        return 1
+def failures(report: dict):
+    """One message per failed oracle."""
+    differ = [name for name, ok in report["results_equal"].items()
+              if not ok]
+    if differ:
+        yield f"{', '.join(differ)} differ from the naive fold"
     if not report["oracle"]["matches_definitional_fold"]:
-        print("FAIL: blocked pipeline differs from the naive=True "
-              "definitional fold", file=sys.stderr)
-        return 1
+        yield ("blocked pipeline differs from the naive=True "
+               "definitional fold")
     if not report["ground_truth_size_ok"]:
-        print("FAIL: merge result size differs from the workload's "
-              "ground truth", file=sys.stderr)
-        return 1
-    if not args.smoke and report["speedup_blocked"] < MIN_SPEEDUP:
-        print(f"FAIL: blocked speedup {report['speedup_blocked']}x is "
-              f"below the {MIN_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    return 0
+        yield "merge result size differs from the workload's ground truth"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300, sources=4, oracle_entries=80),
+        full=dict(entries=10_000, sources=8, oracle_entries=200),
+        checks=failures,
+        floors=[("blocked speedup", "speedup_blocked", MIN_SPEEDUP)]))

@@ -36,40 +36,15 @@ sampled nested conditions, and a residue fraction below
 aggregate residual scan phases to beat the compiled row scan by
 ``MIN_SPEEDUP``× and the grouped kernel to beat the per-row fold by
 ``MIN_GROUP_SPEEDUP``×.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_nested.py           # full
-    PYTHONPATH=src python benchmarks/bench_nested.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_nested.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.query import (  # noqa: E402
-    Collect,
-    Count,
-    Max,
-    Min,
-    Query,
-    Sum,
-    compile_columnar,
-    compile_condition,
-    parse_query_spec,
-)
-from repro.store import ColumnStore  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    NestedWorkloadSpec,
-    generate_nested_workload,
-)
+from _harness import build_store, main, scan_phase, speedup, timed
+from repro.query import Collect, Count, Max, Min, Query, Sum
+from repro.workloads import NestedWorkloadSpec, generate_nested_workload
 
 #: Acceptance floors on the full workload: residual nested scans vs the
 #: compiled row scan, and the vectorized grouped kernel vs the per-row
@@ -98,74 +73,19 @@ _GROUP_AGGS = {
 }
 
 
-def _build(entries: int, seed: int):
-    workload = generate_nested_workload(NestedWorkloadSpec(
-        entries=entries, seed=seed))
-    dataset = workload.dataset
-    list(dataset)  # warm the canonical-order memo outside the timings
-
-    start = time.perf_counter()
-    store = ColumnStore.build(dataset)
-    build_seconds = time.perf_counter() - start
-    return dataset, store, build_seconds
-
-
-def _phase(dataset, store, texts: list[str]) -> dict:
-    """Run every query columnar, row-scan and naive; assert equality."""
-    specs = [parse_query_spec(text) for text in texts]
-    for spec in specs:
-        compile_condition(spec.condition)
-        compile_columnar(spec.condition)
-
-    start = time.perf_counter()
-    columnar = [spec.query(dataset, columns=store).run()
-                for spec in specs]
-    columnar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    rowscan = [spec.query(dataset).run() for spec in specs]
-    rowscan_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    naive = [spec.query(dataset).run(naive=True) for spec in specs]
-    naive_seconds = time.perf_counter() - start
-
-    mismatches = [text for text, fast, row, slow
-                  in zip(texts, columnar, rowscan, naive)
-                  if fast != slow or row != slow]
-    plans_columnar = all(
-        spec.query(dataset, columns=store).explain().strategy
-        == "columnar"
-        for spec in specs[:5])
-
-    return {
-        "queries": len(texts),
-        "result_rows": sum(len(result) for result in columnar),
-        "columnar_seconds": round(columnar_seconds, 6),
-        "rowscan_seconds": round(rowscan_seconds, 6),
-        "naive_seconds": round(naive_seconds, 6),
-        "speedup": round(rowscan_seconds / columnar_seconds, 2)
-        if columnar_seconds else None,
-        "plans_columnar": plans_columnar,
-        "mismatches": mismatches,
-    }
-
-
 def _group_phase(dataset, store, rounds: int) -> dict:
     """Grouped aggregation on a nested path, vectorized vs per-row."""
     query = Query(dataset).with_columns(store)
     group = "author.affil.inst"
 
-    start = time.perf_counter()
-    for _ in range(rounds):
-        vectorized = query.group_aggregate(group, **_GROUP_AGGS)
-    columnar_seconds = time.perf_counter() - start
+    def fold(naive: bool):
+        for _ in range(rounds):
+            result = query.group_aggregate(group, **_GROUP_AGGS,
+                                           naive=naive)
+        return result
 
-    start = time.perf_counter()
-    for _ in range(rounds):
-        per_row = query.group_aggregate(group, **_GROUP_AGGS,
-                                        naive=True)
-    naive_seconds = time.perf_counter() - start
+    columnar_seconds, vectorized = timed(lambda: fold(False))
+    naive_seconds, per_row = timed(lambda: fold(True))
 
     return {
         "group": group,
@@ -173,15 +93,16 @@ def _group_phase(dataset, store, rounds: int) -> dict:
         "groups": len(vectorized),
         "columnar_seconds": round(columnar_seconds, 6),
         "naive_seconds": round(naive_seconds, 6),
-        "speedup": round(naive_seconds / columnar_seconds, 2)
-        if columnar_seconds else None,
+        "speedup": speedup(naive_seconds, columnar_seconds),
         "oracle_equal": vectorized == per_row,
     }
 
 
 def run(entries: int, queries: int, seed: int = 13,
         group_rounds: int = 5) -> dict:
-    dataset, store, build_seconds = _build(entries, seed)
+    dataset = generate_nested_workload(NestedWorkloadSpec(
+        entries=entries, seed=seed)).dataset
+    build_seconds, store = build_store(dataset)
 
     spread = max(1, queries)
     range_texts = [
@@ -214,18 +135,14 @@ def run(entries: int, queries: int, seed: int = 13,
     ]
 
     phases = {
-        "nested_range": _phase(dataset, store, range_texts),
-        "nested_conj": _phase(dataset, store, conj_texts),
-        "contains": _phase(dataset, store, contains_texts),
-        "not_exists": _phase(dataset, store, not_exists_texts),
-        "point_eq": _phase(dataset, store, point_texts),
+        "nested_range": scan_phase(dataset, store, range_texts),
+        "nested_conj": scan_phase(dataset, store, conj_texts),
+        "contains": scan_phase(dataset, store, contains_texts),
+        "not_exists": scan_phase(dataset, store, not_exists_texts),
+        "point_eq": scan_phase(dataset, store, point_texts),
     }
     group_phase = _group_phase(dataset, store, group_rounds)
 
-    residual_columnar = sum(phases[name]["columnar_seconds"]
-                            for name in RESIDUAL_PHASES)
-    residual_rowscan = sum(phases[name]["rowscan_seconds"]
-                           for name in RESIDUAL_PHASES)
     residue_fraction = (store.residue_count / store.size
                         if store.size else 0.0)
     return {
@@ -243,9 +160,10 @@ def run(entries: int, queries: int, seed: int = 13,
         },
         "phases": phases,
         "group_agg": group_phase,
-        "nested_residual_speedup": round(
-            residual_rowscan / residual_columnar, 2)
-        if residual_columnar else None,
+        "nested_residual_speedup": speedup(
+            sum(phases[name]["rowscan_seconds"] for name in RESIDUAL_PHASES),
+            sum(phases[name]["columnar_seconds"]
+                for name in RESIDUAL_PHASES)),
         "group_agg_speedup": group_phase["speedup"],
         "plans_columnar": all(phase["plans_columnar"]
                               for phase in phases.values()),
@@ -256,54 +174,27 @@ def run(entries: int, queries: int, seed: int = 13,
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floors, keeps every oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entries=300, queries=8, group_rounds=2)
-    else:
-        report = run(entries=10_000, queries=40)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["oracle_equal"]:
         bad = [query for phase in report["phases"].values()
                for query in phase["mismatches"]]
-        print(f"FAIL: columnar/row-scan or grouped results differ from "
-              f"the naive oracle ({len(bad)} scan mismatches)",
-              file=sys.stderr)
-        return 1
+        yield (f"columnar/row-scan or grouped results differ from "
+               f"the naive oracle ({len(bad)} scan mismatches)")
     if not report["plans_columnar"]:
-        print("FAIL: expected columnar-strategy plans for nested-path "
-              "conditions, got scans", file=sys.stderr)
-        return 1
+        yield ("expected columnar-strategy plans for nested-path "
+               "conditions, got scans")
     if not report["residue_ok"]:
-        print(f"FAIL: residue fraction "
-              f"{report['workload']['residue_fraction']} is above the "
-              f"{MAX_RESIDUE_FRACTION} ceiling", file=sys.stderr)
-        return 1
-    speedup = report["nested_residual_speedup"]
-    if not args.smoke and (speedup is None or speedup < MIN_SPEEDUP):
-        print(f"FAIL: nested residual-scan speedup {speedup}x is below "
-              f"the {MIN_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    group_speedup = report["group_agg_speedup"]
-    if not args.smoke and (group_speedup is None
-                           or group_speedup < MIN_GROUP_SPEEDUP):
-        print(f"FAIL: nested group-by speedup {group_speedup}x is below "
-              f"the {MIN_GROUP_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    return 0
+        yield (f"residue fraction "
+               f"{report['workload']['residue_fraction']} is above the "
+               f"{MAX_RESIDUE_FRACTION} ceiling")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300, queries=8, group_rounds=2),
+        full=dict(entries=10_000, queries=40), checks=failures,
+        floors=[("nested residual-scan speedup",
+                 "nested_residual_speedup", MIN_SPEEDUP),
+                ("nested group-by speedup", "group_agg_speedup",
+                 MIN_GROUP_SPEEDUP)]))

@@ -23,30 +23,16 @@ the sampled point-lookup and conjunctive plans must be ``columnar`` —
 a silent fall-back to the row scan fails the run. The full run
 additionally requires the planned point lookups to beat the scan by at
 least ``MIN_SPEEDUP``×.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_query_planner.py           # full
-    PYTHONPATH=src python benchmarks/bench_query_planner.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_query_planner.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.store.database import Database  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import main, speedup, timed
+from repro.store.database import Database
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: The acceptance floor: planned point lookups must beat the naive full
 #: scan by at least this factor on the full workload.
@@ -69,13 +55,10 @@ def _phase(database: Database, texts: list[str]) -> dict:
     """Run every query planned and naive; assert equality per query."""
     mismatches = []
 
-    start = time.perf_counter()
-    planned = [database.query(text) for text in texts]
-    planned_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    naive = [database.query(text, naive=True) for text in texts]
-    naive_seconds = time.perf_counter() - start
+    planned_seconds, planned = timed(
+        lambda: [database.query(text) for text in texts])
+    naive_seconds, naive = timed(
+        lambda: [database.query(text, naive=True) for text in texts])
 
     for text, fast, slow in zip(texts, planned, naive):
         if fast != slow:
@@ -86,8 +69,7 @@ def _phase(database: Database, texts: list[str]) -> dict:
         "result_rows": sum(len(result) for result in planned),
         "planned_seconds": round(planned_seconds, 6),
         "naive_seconds": round(naive_seconds, 6),
-        "speedup": round(naive_seconds / planned_seconds, 2)
-        if planned_seconds else None,
+        "speedup": speedup(naive_seconds, planned_seconds),
         "mismatches": mismatches,
     }
 
@@ -138,43 +120,21 @@ def run(entries: int, lookups: int, seed: int = 11) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floor, keeps the plan-vs-scan oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        report = run(entries=300, lookups=20)
-    else:
-        report = run(entries=10_000, lookups=100)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["oracle_equal"]:
         bad = [query for phase in report["phases"].values()
                for query in phase["mismatches"]]
-        print(f"FAIL: planned results differ from the naive scan for "
-              f"{len(bad)} quer{'y' if len(bad) == 1 else 'ies'}",
-              file=sys.stderr)
-        return 1
+        yield (f"planned results differ from the naive scan for "
+               f"{len(bad)} quer{'y' if len(bad) == 1 else 'ies'}")
     if not report["plans_columnar"]:
-        print("FAIL: expected columnar plans for the lookup queries, "
-              "got row scans", file=sys.stderr)
-        return 1
-    speedup = report["phases"]["point_lookup"]["speedup"]
-    if not args.smoke and (speedup is None or speedup < MIN_SPEEDUP):
-        print(f"FAIL: point-lookup speedup {speedup}x is below the "
-              f"{MIN_SPEEDUP}x floor", file=sys.stderr)
-        return 1
-    return 0
+        yield ("expected columnar plans for the lookup queries, "
+               "got row scans")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300, lookups=20),
+        full=dict(entries=10_000, lookups=100), checks=failures,
+        floors=[("point-lookup speedup", "phases.point_lookup.speedup",
+                 MIN_SPEEDUP)]))

@@ -31,35 +31,20 @@ Equality oracles run on **every** run, full and smoke:
 
 The full run additionally requires binary save and cold load to beat
 JSON by at least ``MIN_SPEEDUP``× each.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_snapshot.py           # full
-    PYTHONPATH=src python benchmarks/bench_snapshot.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_snapshot.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-sys.path.insert(0, _SRC)
-
-from repro.core.intern import clear_pool  # noqa: E402
-from repro.store import index as key_index  # noqa: E402
-from repro.store.database import Database  # noqa: E402
-from repro.workloads import (  # noqa: E402
-    BibWorkloadSpec,
-    generate_workload,
-)
+from _harness import SRC, best_of, cold, main, speedup
+from repro.store import index as key_index
+from repro.store.database import Database
+from repro.workloads import BibWorkloadSpec, generate_workload
 
 #: The acceptance floor: binary save and cold load must each beat the
 #: JSON path by at least this factor on the full workload.
@@ -91,33 +76,16 @@ print(time.perf_counter() - start)
 
 
 def _cold_load_seconds(path: Path) -> float:
-    script = _COLD_LOAD_SNIPPET.format(src=_SRC, path=str(path))
+    script = _COLD_LOAD_SNIPPET.format(src=SRC, path=str(path))
     completed = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, check=True)
     return float(completed.stdout.strip())
 
 
-def _interleaved(actions, *, before=None):
-    """Time actions round-robin; per-action best and last results.
-
-    Round-robin interleaving (json, binary, json, binary, ...) makes a
-    busy stretch of a shared machine penalize both contenders instead
-    of whichever phase it happened to land on; collecting garbage in
-    ``before`` keeps one run's leftovers out of the next run's timing.
-    """
-    bests = [None] * len(actions)
-    results = [None] * len(actions)
-    for _ in range(REPEAT):
-        for position, action in enumerate(actions):
-            if before is not None:
-                before()
-            start = time.perf_counter()
-            results[position] = action()
-            elapsed = time.perf_counter() - start
-            if bests[position] is None or elapsed < bests[position]:
-                bests[position] = elapsed
-    return bests, results
+def _self_timed(action):
+    """A ``best_of`` timer for an action that returns its own seconds."""
+    return action(), None
 
 
 def _signature_calls(action):
@@ -169,32 +137,23 @@ def run(entries: int, seed: int = 19) -> dict:
         json_path = Path(tmp) / "snapshot.json"
         binary_path = Path(tmp) / "snapshot.bin"
 
-        def _cold():
-            clear_pool()
-            gc.collect()
-
-        (json_save_seconds, binary_save_seconds), _ = _interleaved(
+        (json_save_seconds, _), (binary_save_seconds, _) = best_of(
             [lambda: database.save(json_path, format="json"),
              lambda: database.save(binary_path, format="binary")],
-            before=gc.collect)
+            repeat=REPEAT, before=gc.collect)
 
         # Cold loads are timed *inside* a fresh interpreter each (see
         # _COLD_LOAD_SNIPPET), interleaved json/binary like the other
         # phases; the best of REPEAT runs per format is reported.
-        json_load_seconds = binary_load_seconds = None
-        for _ in range(REPEAT):
-            json_run = _cold_load_seconds(json_path)
-            binary_run = _cold_load_seconds(binary_path)
-            if json_load_seconds is None or json_run < json_load_seconds:
-                json_load_seconds = json_run
-            if (binary_load_seconds is None
-                    or binary_run < binary_load_seconds):
-                binary_load_seconds = binary_run
+        (json_load_seconds, _), (binary_load_seconds, _) = best_of(
+            [lambda: _cold_load_seconds(json_path),
+             lambda: _cold_load_seconds(binary_path)],
+            repeat=REPEAT, timer=_self_timed)
 
         # Untimed in-process loads feed the equality oracles below.
-        _cold()
+        cold()
         from_json = Database.load(json_path)
-        _cold()
+        cold()
         from_binary, load_signatures = _signature_calls(
             lambda: Database.load(binary_path))
 
@@ -206,8 +165,9 @@ def run(entries: int, seed: int = 19) -> dict:
             warm = Database.load(binary_path)
             warm.query(query_text)
 
-        (json_query_seconds, binary_query_seconds), _ = _interleaved(
-            [_json_load_query, _binary_load_query], before=_cold)
+        (json_query_seconds, _), (binary_query_seconds, _) = best_of(
+            [_json_load_query, _binary_load_query], repeat=REPEAT,
+            before=cold)
 
         sizes = {
             "json_bytes": json_path.stat().st_size,
@@ -253,14 +213,11 @@ def run(entries: int, seed: int = 19) -> dict:
             "json_seconds": round(json_query_seconds, 6),
             "binary_seconds": round(binary_query_seconds, 6),
         },
-        "save_speedup": round(json_save_seconds / binary_save_seconds, 2)
-        if binary_save_seconds else None,
-        "cold_load_speedup": round(
-            json_load_seconds / binary_load_seconds, 2)
-        if binary_load_seconds else None,
-        "query_load_speedup": round(
-            json_query_seconds / binary_query_seconds, 2)
-        if binary_query_seconds else None,
+        "save_speedup": speedup(json_save_seconds, binary_save_seconds),
+        "cold_load_speedup": speedup(json_load_seconds,
+                                     binary_load_seconds),
+        "query_load_speedup": speedup(json_query_seconds,
+                                      binary_query_seconds),
         "size_ratio": round(sizes["json_bytes"] / sizes["binary_bytes"],
                             2),
         "datasets_equal": datasets_equal,
@@ -270,46 +227,21 @@ def run(entries: int, seed: int = 19) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload for CI (skips the speedup "
-                             "floors, keeps every equality oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    report = run(entries=300 if args.smoke else 10_000)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
+def failures(report: dict):
+    """One message per failed oracle."""
     if not report["datasets_equal"]:
-        print("FAIL: binary-loaded database differs from the "
-              "JSON-loaded one", file=sys.stderr)
-        return 1
+        yield "binary-loaded database differs from the JSON-loaded one"
     if not report["indexes_equal"]:
-        print("FAIL: restored key index differs from a rebuilt one",
-              file=sys.stderr)
-        return 1
+        yield "restored key index differs from a rebuilt one"
     if not report["queries_equal"]:
-        print("FAIL: binary-loaded database answers queries "
-              "differently", file=sys.stderr)
-        return 1
+        yield "binary-loaded database answers queries differently"
     if not report["index_warm"]:
-        print("FAIL: binary load did not restore the persisted key "
-              "index", file=sys.stderr)
-        return 1
-    if not args.smoke:
-        for ratio in ("save_speedup", "cold_load_speedup"):
-            if report[ratio] is None or report[ratio] < MIN_SPEEDUP:
-                print(f"FAIL: {ratio} {report[ratio]}x is below the "
-                      f"{MIN_SPEEDUP}x floor", file=sys.stderr)
-                return 1
-    return 0
+        yield "binary load did not restore the persisted key index"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(entries=300), full=dict(entries=10_000),
+        checks=failures,
+        floors=[(ratio, ratio, MIN_SPEEDUP)
+                for ratio in ("save_speedup", "cold_load_speedup")]))

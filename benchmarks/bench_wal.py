@@ -41,19 +41,11 @@ the serialized baseline retires one fsynced batch per commit.
 ``group_commit_speedup`` are gated by
 ``tools/check_bench_regression.py``; the full run additionally
 enforces mild absolute floors.
-
-Standalone (CI smoke-runs it; pytest is not required)::
-
-    PYTHONPATH=src python benchmarks/bench_wal.py           # full
-    PYTHONPATH=src python benchmarks/bench_wal.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_wal.py --out b.json
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import shutil
 import statistics
 import sys
@@ -62,13 +54,11 @@ import threading
 import time
 from pathlib import Path
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-sys.path.insert(0, _SRC)
-
-from repro.core.builder import data, tup  # noqa: E402
-from repro.core.intern import clear_pool, intern_data  # noqa: E402
-from repro.store.database import Database  # noqa: E402
-from repro.store.wal import scan_wal, wal_path  # noqa: E402
+from _harness import best_of, cold, main, speedup
+from repro.core.builder import data, tup
+from repro.core.intern import intern_data
+from repro.store.database import Database
+from repro.store.wal import scan_wal, wal_path
 
 #: Full-run acceptance floors for the gated headline ratios.
 MIN_RECOVERY_SPEEDUP = 1.2
@@ -110,26 +100,6 @@ def _commit_row(i: int):
     return data(f"w{i}", tup(kind="commit", seq=i))
 
 
-def _cold():
-    clear_pool()
-    gc.collect()
-
-
-def _best(action, *, before=None, repeat=REPEAT):
-    """Fastest-of-``repeat`` wall time plus the last result."""
-    best = None
-    result = None
-    for _ in range(repeat):
-        if before is not None:
-            before()
-        start = time.perf_counter()
-        result = action()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
-
-
 def _phase_commit_latency(commits: int) -> dict:
     """Per-commit wall time: transient vs durable vs fsync-less."""
     rows = [_row(i) for i in range(commits)]
@@ -151,9 +121,12 @@ def _phase_commit_latency(commits: int) -> dict:
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    transient_seconds, _ = _best(transient, before=_cold)
-    durable_seconds, _ = _best(lambda: durable(True), before=_cold)
-    nofsync_seconds, _ = _best(lambda: durable(False), before=_cold)
+    [(transient_seconds, _)] = best_of([transient], repeat=REPEAT,
+                                       before=cold)
+    [(durable_seconds, _)] = best_of([lambda: durable(True)],
+                                     repeat=REPEAT, before=cold)
+    [(nofsync_seconds, _)] = best_of([lambda: durable(False)],
+                                     repeat=REPEAT, before=cold)
     return {
         "commits": commits,
         "transient_us_per_commit": round(
@@ -162,8 +135,7 @@ def _phase_commit_latency(commits: int) -> dict:
             durable_seconds / commits * 1e6, 2),
         "durable_nofsync_us_per_commit": round(
             nofsync_seconds / commits * 1e6, 2),
-        "commit_overhead_x": round(durable_seconds / transient_seconds,
-                                   2) if transient_seconds else None,
+        "commit_overhead_x": speedup(durable_seconds, transient_seconds),
     }
 
 
@@ -194,17 +166,17 @@ def _phase_batch_commit(commits: int) -> dict:
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    individual_seconds, individual_count = _best(individual,
-                                                 before=_cold)
-    batch_seconds, batch_count = _best(batch, before=_cold)
+    [(individual_seconds, individual_count)] = best_of(
+        [individual], repeat=REPEAT, before=cold)
+    [(batch_seconds, batch_count)] = best_of([batch], repeat=REPEAT,
+                                             before=cold)
     assert individual_count == batch_count == len(rows)
     return {
         "commits": commits,
         "individual_seconds": round(individual_seconds, 6),
         "batch_seconds": round(batch_seconds, 6),
-        "batch_commit_speedup": round(
-            individual_seconds / batch_seconds, 2)
-        if batch_seconds else None,
+        "batch_commit_speedup": speedup(individual_seconds,
+                                        batch_seconds),
     }
 
 
@@ -343,7 +315,7 @@ def _timed_open(path: Path) -> tuple[float, int]:
         finally:
             db.close()
 
-    return _best(action, before=_cold)
+    return best_of([action], repeat=REPEAT, before=cold)[0]
 
 
 def run(commits: int, per_writer: int) -> dict:
@@ -438,9 +410,8 @@ def run(commits: int, per_writer: int) -> dict:
             "snapshot_bytes": compact_path.stat().st_size,
         }
 
-    report["recovery_speedup"] = round(
-        full_open_seconds / compacted_open_seconds, 2) \
-        if compacted_open_seconds else None
+    report["recovery_speedup"] = speedup(full_open_seconds,
+                                         compacted_open_seconds)
     report["batch_commit_speedup"] = \
         report["batch_commit"]["batch_commit_speedup"]
     report["group_commit_speedup"] = \
@@ -452,39 +423,16 @@ def run(commits: int, per_writer: int) -> dict:
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small workload for CI (skips the "
-                             "absolute speedup floors, keeps every "
-                             "correctness oracle)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON report to this path")
-    args = parser.parse_args(argv)
-
-    report = run(commits=80 if args.smoke else 600,
-                 per_writer=8 if args.smoke else 30)
-
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
-
-    if not report["oracles_ok"]:
-        for failure in report["oracle_failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if not args.smoke:
-        floors = (("recovery_speedup", MIN_RECOVERY_SPEEDUP),
-                  ("batch_commit_speedup", MIN_BATCH_SPEEDUP),
-                  ("group_commit_speedup", MIN_GROUP_SPEEDUP))
-        for ratio, floor in floors:
-            if report[ratio] is None or report[ratio] < floor:
-                print(f"FAIL: {ratio} {report[ratio]}x is below the "
-                      f"{floor}x floor", file=sys.stderr)
-                return 1
-    return 0
+def failures(report: dict):
+    """One message per failed oracle."""
+    yield from report["oracle_failures"]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        run, smoke=dict(commits=80, per_writer=8),
+        full=dict(commits=600, per_writer=30), checks=failures,
+        floors=[(ratio, ratio, floor) for ratio, floor in (
+            ("recovery_speedup", MIN_RECOVERY_SPEEDUP),
+            ("batch_commit_speedup", MIN_BATCH_SPEEDUP),
+            ("group_commit_speedup", MIN_GROUP_SPEEDUP))]))

@@ -9,7 +9,15 @@ reproduction outcome, so ``--benchmark-only`` doubles as a correctness
 gate over the whole experiment index (DESIGN.md §4).
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The gated scripts import ``_harness`` as a sibling module, which is
+# how they run standalone. ``benchmarks`` is a package, so pytest puts
+# the repo root on ``sys.path`` rather than this directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.workloads import BibWorkloadSpec, generate_workload
 

@@ -1,5 +1,6 @@
 """The generated API reference stays in sync with the code."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,15 +9,18 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_generator_runs_and_output_is_current(tmp_path):
-    api_path = ROOT / "docs" / "API.md"
-    before = api_path.read_text()
+    # Without PYTHONPATH, as the stale-docs message below tells the
+    # reader to run it; the tool finds src/ itself.
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONPATH"}
+    generated = tmp_path / "API.md"
     completed = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
-        capture_output=True, text=True, timeout=120)
+        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py"),
+         str(generated)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
-    after = api_path.read_text()
-    assert after == before, ("docs/API.md is stale; run "
-                             "python tools/gen_api_docs.py")
+    assert generated.read_text() == (ROOT / "docs" / "API.md").read_text(), (
+        "docs/API.md is stale; run python tools/gen_api_docs.py")
 
 
 def test_api_reference_covers_the_packages():

@@ -6,17 +6,24 @@ and writes a compact reference: one section per module, one line per
 public name (signature + first docstring sentence). Run from the repo
 root::
 
-    python tools/gen_api_docs.py
+    python tools/gen_api_docs.py            # writes docs/API.md
+    python tools/gen_api_docs.py OUT.md     # writes OUT.md instead
 
 The file is generated; edit the docstrings, not docs/API.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Document this checkout's package, not an installed one.
+sys.path.insert(0, str(ROOT / "src"))
 
 MODULES = [
     "repro.core",
@@ -128,7 +135,13 @@ def describe(name: str, value: object) -> str:
     return f"- **`{name}`** — constant."
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("output", nargs="?", type=Path,
+                        default=ROOT / "docs" / "API.md",
+                        help="where to write the reference "
+                             "(default: docs/API.md)")
+    output = parser.parse_args(argv).output
     sections = [HEADER]
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -144,7 +157,6 @@ def main() -> int:
                 continue
             sections.append(describe(name, value))
         sections.append("")
-    output = Path(__file__).resolve().parents[1] / "docs" / "API.md"
     text = "\n".join(sections) + "\n"
     output.write_text(text)
     print(f"wrote {output} ({len(text.splitlines())} lines)")
