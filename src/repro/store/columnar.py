@@ -349,11 +349,19 @@ class Column:
     the original field object (the source of the possible-value index).
     A plain list or dict passed in is converted. Bits at tombstoned
     positions are masked by the store, never cleared here.
+
+    ``value_memo`` is a dict the query layer keys by field value (the
+    aggregate kernels keep each irregular value's resolved
+    contributions there). Its keys do not depend on positions, so,
+    unlike the store's position-keyed ``alt_memo``, every
+    :meth:`ColumnStore.patched` successor of the column shares it; a
+    compacting rebuild starts it empty. Readers fill it without a
+    lock: an entry is the same whichever reader writes it.
     """
 
     __slots__ = ("values", "present", "irregular", "tuples", "opaque",
-                 "extras", "_eq_index", "_scan_memo", "_ordered_index",
-                 "_irr_index", "_irr_ordered", "_text")
+                 "extras", "value_memo", "_eq_index", "_scan_memo",
+                 "_ordered_index", "_irr_index", "_irr_ordered", "_text")
 
     def __init__(self, values: "PagedList | list", present: int,
                  irregular: int, tuples: int, opaque: int,
@@ -365,6 +373,7 @@ class Column:
         self.tuples = tuples
         self.opaque = opaque
         self.extras = extras if isinstance(extras, PMap) else PMap(extras)
+        self.value_memo: dict = {}
         self._eq_index: dict | None = None
         self._scan_memo: dict = {}
         self._ordered_index: tuple | None = None
@@ -632,14 +641,15 @@ class Column:
         rows that do not reach its path.
 
         No entry changes, so the successor keeps this column's bitsets,
-        sidecar and built indexes as they are, and a private copy of the
-        scan memo (one ``dict.copy()``: readers may be inserting, and a
-        copy is never iterated half-way through an insert). A built
-        joined text gets one empty part per padded row.
+        sidecar, built indexes and value memo as they are, and a private
+        copy of the scan memo (one ``dict.copy()``: readers may be
+        inserting, and a copy is never iterated half-way through an
+        insert). A built joined text gets one empty part per padded row.
         """
         column = Column(self.values.extended(pad), self.present,
                         self.irregular, self.tuples, self.opaque,
                         self.extras)
+        column.value_memo = self.value_memo
         column._eq_index = self._eq_index
         column._ordered_index = self._ordered_index
         column._irr_index = self._irr_index
@@ -658,10 +668,11 @@ class Column:
         entries, so where this column built one, the successor's is
         this one OR'd with the tail's shifted up by ``shift``: the eq
         and possible-value indexes merge per key, the joined text gets
-        the tail's text appended, and each memo entry is recomputed on
-        the tail (the memo is snapshotted first, since readers may be
+        the tail's text appended, and each scan memo entry is recomputed
+        on the tail (the memo is snapshotted first, since readers may be
         inserting). Structures this column never built, and the sorted
-        range indexes, stay lazy in the successor.
+        range indexes, stay lazy in the successor. The value memo is
+        shared as it is: its entries are functions of the value alone.
         """
         extras = self.extras
         if tail.extras:
@@ -675,6 +686,7 @@ class Column:
                         _or_shifted(self.tuples, tail.tuples, shift),
                         _or_shifted(self.opaque, tail.opaque, shift),
                         extras)
+        column.value_memo = self.value_memo
         eq_index = self._eq_index
         if eq_index is not None:
             column._eq_index = _merge_shifted(eq_index, tail.eq_index(),
@@ -974,11 +986,12 @@ class ColumnStore:
 
         Otherwise each column's lazily built state carries over: its
         eq-index, possible-value index and scan memo (see
-        :meth:`Column.eq_index` for the lifetime rule). A column the
-        appended rows do not reach keeps the parent's index objects and
-        a copy of its memo; a column they reach gets the parent's
-        structures with the appended rows' shifted in, but only those
-        the parent had built. This is exact because each structure is a
+        :meth:`Column.eq_index` for the lifetime rule), and its value
+        memo, which every successor shares. A column the appended rows
+        do not reach keeps the parent's index objects and a copy of its
+        scan memo; a column they reach gets the parent's structures with
+        the appended rows' shifted in, but only those the parent had
+        built. This is exact because each structure is a
         position-wise function of the entries, positions only append, a
         resurrected position holds the same datum, and tombstones are
         masked by :attr:`universe_mask` at query time. The write pays

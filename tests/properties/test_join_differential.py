@@ -16,10 +16,12 @@ set-wrapped, i.e. every multi-level shred class incl. opaque):
   ``path_alternatives`` oracle, over whole stores and over arbitrary
   row-subset masks — for every aggregate kind, also when many rows
   share a few or-values and sets (one past the alternative cap), which
-  the kernel folds once per distinct value with a multiplicity.
+  the kernel folds once per distinct value with a multiplicity, and
+  when or-values and sets span enough distinct numbers that min/max
+  pass ``OR_CAP``.
 
-Values are integers/strings only (no floats), so ``sum`` equality is
-exact, never approximate.
+Values are integers/strings, and in one generator floats equal to
+integers (``5.0``), so ``sum`` equality is exact, never approximate.
 """
 
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import bottom, cset, orv, pset, tup
 from repro.core.data import Data, DataSet
-from repro.core.objects import Atom, Marker
+from repro.core.objects import BOTTOM, Atom, Marker, OrValue
 from repro.query import (
     And,
     Collect,
@@ -41,6 +43,7 @@ from repro.query import (
     Sum,
 )
 from repro.query.aggregates import (
+    Bounds,
     aggregate_columnar,
     aggregate_rows,
     group_aggregate_columnar,
@@ -362,6 +365,127 @@ def test_shared_values_fold_with_multiplicity(dataset, selector, group):
         assert group_aggregate_columnar(store, mask, group,
                                         SHARED_AGGS) == \
             group_aggregate_rows(rows, group, SHARED_AGGS)
+
+
+# ---------------------------------------------------------------------------
+# Many distinct numbers: min/max finishes past OR_CAP.
+# ---------------------------------------------------------------------------
+
+#: Twelve years, so a min/max over or-values and sets can reach more
+#: than ``OR_CAP`` outcomes and end as ``Bounds``.
+MANY_YEARS = tuple(range(1, 13))
+
+#: Floats equal to two of :data:`MANY_YEARS`: different atoms, equal
+#: numbers.
+TIED_YEARS = (5.0, 9.0)
+
+
+def many_values(years, definite):
+    """Or-values over ``years`` with a ⊥ disjunct (a row that may
+    contribute nothing leaves every outcome reachable), and when
+    ``definite`` also or-values without one and sets."""
+    def with_bottom(values):
+        return orv(*values, bottom)
+
+    choices = [st.lists(years, min_size=1, max_size=3,
+                        unique_by=_strict).map(with_bottom)]
+    if definite:
+        choices += [
+            st.lists(years, min_size=2, max_size=4,
+                     unique_by=_strict).map(lambda vs: orv(*vs)),
+            st.lists(years, min_size=1, max_size=3,
+                     unique_by=_strict).map(lambda vs: cset(*vs)),
+            st.lists(years, min_size=1, max_size=3,
+                     unique_by=_strict).map(lambda vs: pset(*vs)),
+        ]
+    return st.one_of(*choices)
+
+
+@st.composite
+def many_value_datasets(draw):
+    """``(tied, dataset)``: 10-60 rows whose ``year`` comes from a pool
+    of 6-16 or-values and sets over :data:`MANY_YEARS`, with
+    :data:`TIED_YEARS` among the numbers when ``tied``. Half the
+    datasets hold every shape and scalar years, whose definite bests
+    cut the min/max outcomes; the other half only ⊥-possible or-values,
+    so their min/max finishes pass ``OR_CAP`` wherever the selected
+    rows span eight numbers or more (⊥ is one more outcome). Some rows
+    hold no year."""
+    tied = draw(st.booleans())
+    definite = draw(st.booleans())
+    years = st.sampled_from(MANY_YEARS + TIED_YEARS if tied
+                            else MANY_YEARS)
+    pool = draw(st.lists(many_values(years, definite), min_size=6,
+                         max_size=16))
+    rows = []
+    for index in range(draw(st.integers(10, 60))):
+        fields = {"type": Atom(draw(st.sampled_from(("a", "b"))))}
+        shape = draw(st.integers(0, 9))
+        if shape == 1 and definite:
+            fields["year"] = Atom(draw(years))
+        elif shape:
+            fields["year"] = draw(st.sampled_from(pool))
+        rows.append(Data(Marker(f"m{index:02d}"), tup(**fields)))
+    return tied, DataSet(rows)
+
+
+def by_value(answer):
+    """``answer`` with every number read as a float and every collected
+    tuple as a set.
+
+    Where equal numbers of two types tie (``5`` and ``5.0``), two
+    orders depend on the order rows fold in, so the kernel and the
+    oracle may differ in them (CHANGES.md): the type a min, max or sum
+    outcome shows (``5|6`` against ``5.0|6``), and where ``collect``
+    puts ``Atom(5)`` against ``Atom(5.0)``, whose structural keys are
+    equal. Everything else — values, kinds, ⊥, the collected atoms —
+    must agree.
+    """
+    if isinstance(answer, dict):
+        return {key: by_value(value) for key, value in answer.items()}
+    if isinstance(answer, tuple):
+        return frozenset(answer)
+    if isinstance(answer, OrValue):
+        return ("or", frozenset(None if disjunct is BOTTOM
+                                else float(disjunct.value)
+                                for disjunct in answer.disjuncts))
+    if isinstance(answer, Bounds):
+        return ("bounds", float(answer.lo), float(answer.hi))
+    if isinstance(answer, (int, float)):
+        return float(answer)
+    return answer
+
+
+@CASES
+@given(many_value_datasets(),
+       st.one_of(st.just((1 << 60) - 1),
+                 st.integers(min_value=0, max_value=(1 << 60) - 1)),
+       st.sampled_from((None, "type", "year")))
+def test_many_values_past_the_cap_match_row_oracle(tied_dataset,
+                                                   selector, group):
+    """Plain and grouped aggregates over the whole store or a row
+    subset equal the row oracle when or-values and sets span enough
+    distinct numbers for min/max to pass ``OR_CAP``, ⊥ disjuncts
+    among them; a second read, answered from the column's value memo,
+    answers the same. With int/float-equal years the answers agree
+    number for number (:func:`by_value`), otherwise exactly."""
+    tied, dataset = tied_dataset
+    store = ColumnStore.build(dataset)
+    mask, rows = subset(store, selector)
+    if group is None:
+        expected = aggregate_rows(rows, SHARED_AGGS)
+        answers = [aggregate_columnar(store, mask, SHARED_AGGS)
+                   for _ in range(2)]
+    else:
+        expected = group_aggregate_rows(rows, group, SHARED_AGGS)
+        answers = [group_aggregate_columnar(store, mask, group,
+                                            SHARED_AGGS)
+                   for _ in range(2)]
+    assert answers[0] == answers[1]
+    if tied:
+        assert by_value(answers[0]) == by_value(expected)
+    else:
+        assert answers[0] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ sidecar / tuple-interior / opaque / row-fallback residue / field-less
 tops), the path-keyed columns and per-level bitset semantics, the
 bitset plumbing, the per-value and per-row folds behind columnar
 aggregates, copy-on-write ``patched()`` including tombstones,
-resurrection, the compacting drift rebuild and the indexes and scan
-memos it carries into the next generation, and the ≥600-deep
+resurrection, the compacting drift rebuild and the indexes, scan
+memos and value memos it carries into the next generation, and the
+≥600-deep
 pathological-nesting regression the binary codec set the precedent
 for: analysis is iterative (and guarded), so deep objects classify
 without blowing the recursion limit — tuple chains past the
@@ -18,7 +19,9 @@ import random
 from repro.core.builder import atom, cset, orv, pset, tup
 from repro.core.data import Data, DataSet
 from repro.core.objects import Atom, Marker, Tuple
-from repro.query import Contains, Eq, Exists, Ge, Query
+from repro.query import Collect, Contains, Count, Eq, Exists, Ge, Max, \
+    Min, Query, Sum
+from repro.query.aggregates import _value_contribution, aggregate_columnar
 from repro.store import columnar
 from repro.store.columnar import (
     Column,
@@ -706,11 +709,15 @@ def assert_carried_state_exact(column):
         assert text == fresh_text[1] and starts == list(fresh_text[2])
     for key, bits in column._scan_memo.items():
         assert bits == key[0](fresh, key), key
+    for value, contributions in column.value_memo.items():
+        for kind, contribution in contributions.items():
+            assert contribution == _value_contribution(kind, value), \
+                (value, kind)
 
 
 class TestCarriedState:
-    """``patched`` carries built indexes and scan memos into the
-    successor instead of starting each new column empty."""
+    """``patched`` carries built indexes, scan memos and value memos
+    into the successor instead of starting each new column empty."""
 
     added = [flat("n1", type="Article", year=2010, title="fresh foo"),
              datum("n2", tup(type=atom("Book"), year=orv(1995, 2012)))]
@@ -776,11 +783,51 @@ class TestCarriedState:
     def test_compacting_rebuild_starts_fresh(self):
         data = [flat(f"m{i:04d}", type="T", year=1900 + i)
                 for i in range(200)]
+        data.append(flat("m_or", type="T", year=orv(1990, 1991)))
         store = ColumnStore.build(DataSet(data))
         warm(store)
+        fold_irregular(store)
+        assert store.column(("year",)).value_memo
         rebuilt = store.patched(data[:150], [])
         column = rebuilt.column(("year",))
         assert column._eq_index is None and column._scan_memo == {}
+        assert column.value_memo == {}
+
+    def test_value_memo_is_shared_by_successors(self):
+        store = ColumnStore.build(library())
+        fold_irregular(store)
+        year = store.column(("year",)).value_memo
+        author = store.column(("author",)).value_memo
+        assert set(year) == {orv(1990, 1991)}
+        assert set(author) == {cset("ann", "bob")}
+        assert set(year[orv(1990, 1991)]) == {"count", "sum", "min",
+                                              "max", "collect"}
+        # ``year`` is reached by the appended rows (extended), ``author``
+        # is not (padded): both successors' columns share the memo.
+        successor = store.patched([], self.added)
+        assert successor.column(("year",)).value_memo is year
+        assert successor.column(("author",)).value_memo is author
+        sibling = store.patched(self.added[:1], [])
+        assert sibling.column(("year",)).value_memo is year
+        # The successor's new or-value joins the shared memo; every
+        # entry is what a fresh resolve gives.
+        fold_irregular(successor)
+        assert set(year) == {orv(1990, 1991), orv(1995, 2012)}
+        for path in successor.paths:
+            assert_carried_state_exact(successor.column(path))
+
+
+#: One aggregate per kind over the two irregular paths of ``library``.
+IRREGULAR_AGGS = {"n": Count("year"), "sum": Sum("year"),
+                  "min": Min("year"), "max": Max("year"),
+                  "collect": Collect("year"), "authors": Collect("author")}
+
+
+def fold_irregular(store):
+    """Run the columnar kernel over every live row, filling the value
+    memos of the aggregated columns."""
+    mask = store.universe_mask | store.residue_mask
+    return aggregate_columnar(store, mask, IRREGULAR_AGGS)
 
 
 DEPTH = 600
