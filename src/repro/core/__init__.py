@@ -51,7 +51,6 @@ from repro.core.intern import (
     intern_dataset,
     intern_stats,
     is_interned,
-    on_clear,
 )
 from repro.core.informativeness import (
     comparable,
@@ -103,7 +102,7 @@ __all__ = [
     "dataset", "bottom",
     # interning
     "InternPool", "intern", "intern_data", "intern_dataset",
-    "is_interned", "equal", "clear_pool", "intern_stats", "on_clear",
+    "is_interned", "equal", "clear_pool", "intern_stats",
     # order / informativeness
     "structural_key", "sort_objects", "object_depth", "object_size",
     "less_informative", "strictly_less_informative", "comparable",

@@ -33,9 +33,10 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable
 
 from repro.core.guard import guarded as _guarded
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import equal as _equal
 from repro.core.intern import is_interned as _is_interned
+from repro.core.intern import memo_put as _memo_put
 from repro.core.errors import EmptyKeyError
 from repro.core.objects import (
     Atom,
@@ -109,28 +110,22 @@ def _naive_compatible(first: SSObject, second: SSObject,
 # Memoized fast path
 # ---------------------------------------------------------------------------
 
-#: ``(id(a), id(b), key) -> bool`` with ``id(a) <= id(b)`` — Definition 6
-#: is symmetric in its operands, so one entry serves both orientations.
-_COMPAT_MEMO: dict[tuple[int, int, frozenset[str]], bool] = {}
-_on_clear(_COMPAT_MEMO.clear)
-
-
 def _fast_compatible(first: SSObject, second: SSObject,
                      key: AbstractSet[str]) -> bool:
-    memoable = _is_interned(first) and _is_interned(second)
-    if memoable:
+    if _is_interned(first) and _is_interned(second):
         frozen = key if isinstance(key, frozenset) else frozenset(key)
+        # Definition 6 is symmetric in its operands, so the smaller id
+        # goes first and one entry serves both orientations.
         left, right = id(first), id(second)
         if left > right:
             left, right = right, left
-        memo_key = (left, right, frozen)
-        cached = _COMPAT_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    result = _fast_compat_cases(first, second, key)
-    if memoable:
-        _COMPAT_MEMO[memo_key] = result
-    return result
+        memo_key = ("compatible", left, right, frozen)
+        cached = _MEMO.get(memo_key)
+        if cached is None:
+            cached = _memo_put(memo_key,
+                               _fast_compat_cases(first, second, key))
+        return cached
+    return _fast_compat_cases(first, second, key)
 
 
 def _fast_compat_cases(first: SSObject, second: SSObject,

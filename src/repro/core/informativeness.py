@@ -35,9 +35,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.guard import guarded as _guarded
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import equal as _equal
 from repro.core.intern import is_interned as _is_interned
+from repro.core.intern import memo_put as _memo_put
 from repro.core.objects import (
     BOTTOM,
     CompleteSet,
@@ -114,26 +115,16 @@ def _set_less_informative(first: frozenset[SSObject],
 # Memoized fast path
 # ---------------------------------------------------------------------------
 
-#: ``(id(first), id(second)) -> bool`` for interned operand pairs. The
-#: intern pool owns the ids (strong references), so keys stay valid until
-#: the pool — and with it this table — is cleared.
-_LI_MEMO: dict[tuple[int, int], bool] = {}
-_on_clear(_LI_MEMO.clear)
-
-
 def _fast_less_informative(first: SSObject, second: SSObject) -> bool:
     if first is second or first is BOTTOM:
         return True
-    memoable = _is_interned(first) and _is_interned(second)
-    if memoable:
-        key = (id(first), id(second))
-        cached = _LI_MEMO.get(key)
-        if cached is not None:
-            return cached
-    result = _fast_li_cases(first, second)
-    if memoable:
-        _LI_MEMO[key] = result
-    return result
+    if _is_interned(first) and _is_interned(second):
+        key = ("less_informative", id(first), id(second))
+        cached = _MEMO.get(key)
+        if cached is None:
+            cached = _memo_put(key, _fast_li_cases(first, second))
+        return cached
+    return _fast_li_cases(first, second)
 
 
 def _fast_li_cases(first: SSObject, second: SSObject) -> bool:

@@ -30,8 +30,9 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable
 
 from repro.core.guard import guarded as _guarded
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import intern as _intern_object
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import memo_put as _memo_put
 from repro.core.compatibility import _fast_compatible, compatible
 from repro.core.compatibility import check_key
 from repro.core.informativeness import (
@@ -292,38 +293,22 @@ def _surviving_elements(left: Iterable[SSObject], right: Iterable[SSObject],
 # equality tests collapse to identity checks for interned operands
 # (``_equal``), recursion goes through the memoized ⊴/compatibility fast
 # paths, and results for interned operand pairs are themselves interned
-# and cached by ``(id(first), id(second), key)``. Interning the results
-# keeps chained operations (``merge_in`` traffic) inside the fast regime.
+# and cached in the identity memo by ``(name, id(first), id(second),
+# key)``. Interning the results keeps chained operations (``merge_in``
+# traffic) inside the fast regime. ``key`` is always the frozenset the
+# public entry points get from ``check_key``.
 # ---------------------------------------------------------------------------
-
-_UNION_MEMO: dict[tuple[int, int, frozenset[str]], SSObject] = {}
-_INTERSECTION_MEMO: dict[tuple[int, int, frozenset[str]], SSObject] = {}
-_DIFFERENCE_MEMO: dict[tuple[int, int, frozenset[str]], SSObject] = {}
-_on_clear(_UNION_MEMO.clear)
-_on_clear(_INTERSECTION_MEMO.clear)
-_on_clear(_DIFFERENCE_MEMO.clear)
-
-
-def _memo_key(first: SSObject, second: SSObject,
-              key: AbstractSet[str]) -> tuple[int, int, frozenset[str]] | None:
-    if _is_interned(first) and _is_interned(second):
-        frozen = key if isinstance(key, frozenset) else frozenset(key)
-        return (id(first), id(second), frozen)
-    return None
-
 
 def _fast_union(first: SSObject, second: SSObject,
                 key: AbstractSet[str]) -> SSObject:
-    memo_key = _memo_key(first, second, key)
-    if memo_key is not None:
-        cached = _UNION_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    result = _fast_union_cases(first, second, key)
-    if memo_key is not None:
-        result = _intern_object(result)
-        _UNION_MEMO[memo_key] = result
-    return result
+    if _is_interned(first) and _is_interned(second):
+        memo_key = ("union", id(first), id(second), key)
+        cached = _MEMO.get(memo_key)
+        if cached is None:
+            cached = _memo_put(memo_key, _intern_object(
+                _fast_union_cases(first, second, key)))
+        return cached
+    return _fast_union_cases(first, second, key)
 
 
 def _fast_union_cases(first: SSObject, second: SSObject,
@@ -380,16 +365,14 @@ def _fast_merge_elements(left: frozenset[SSObject],
 
 def _fast_intersection(first: SSObject, second: SSObject,
                        key: AbstractSet[str]) -> SSObject:
-    memo_key = _memo_key(first, second, key)
-    if memo_key is not None:
-        cached = _INTERSECTION_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    result = _fast_intersection_cases(first, second, key)
-    if memo_key is not None:
-        result = _intern_object(result)
-        _INTERSECTION_MEMO[memo_key] = result
-    return result
+    if _is_interned(first) and _is_interned(second):
+        memo_key = ("intersection", id(first), id(second), key)
+        cached = _MEMO.get(memo_key)
+        if cached is None:
+            cached = _memo_put(memo_key, _intern_object(
+                _fast_intersection_cases(first, second, key)))
+        return cached
+    return _fast_intersection_cases(first, second, key)
 
 
 def _fast_intersection_cases(first: SSObject, second: SSObject,
@@ -439,16 +422,14 @@ def _fast_common_elements(left: Iterable[SSObject],
 
 def _fast_difference(first: SSObject, second: SSObject,
                      key: AbstractSet[str]) -> SSObject:
-    memo_key = _memo_key(first, second, key)
-    if memo_key is not None:
-        cached = _DIFFERENCE_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    result = _fast_difference_cases(first, second, key)
-    if memo_key is not None:
-        result = _intern_object(result)
-        _DIFFERENCE_MEMO[memo_key] = result
-    return result
+    if _is_interned(first) and _is_interned(second):
+        memo_key = ("difference", id(first), id(second), key)
+        cached = _MEMO.get(memo_key)
+        if cached is None:
+            cached = _memo_put(memo_key, _intern_object(
+                _fast_difference_cases(first, second, key)))
+        return cached
+    return _fast_difference_cases(first, second, key)
 
 
 def _fast_difference_cases(first: SSObject, second: SSObject,

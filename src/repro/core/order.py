@@ -27,8 +27,9 @@ from itertools import compress, islice
 from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Sequence
 
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import is_interned as _is_interned
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import memo_put as _memo_put
 from repro.core.objects import (
     Atom,
     Bottom,
@@ -60,24 +61,18 @@ _ATOM_TYPE_RANK = {bool: 0, int: 1, float: 1, str: 2}
 _ATOM_KIND = _KIND_RANK["atom"]
 
 
-#: ``id(obj) -> key`` for interned objects (the pool pins the ids).
-_KEY_MEMO: dict[int, tuple] = {}
-_on_clear(_KEY_MEMO.clear)
-
-
 def structural_key(obj: SSObject) -> tuple:
     """Return a nested tuple that totally orders model objects.
 
     Keys of equal objects are equal; keys of distinct objects differ. The
     key is comparable with keys of any other object, whatever the kinds.
     Keys of interned objects (:mod:`repro.core.intern`) are computed once
-    and cached by identity.
+    and cached in the identity memo under the bare ``id(obj)``.
     """
     if _is_interned(obj):
-        cached = _KEY_MEMO.get(id(obj))
+        cached = _MEMO.get(id(obj))
         if cached is None:
-            cached = _structural_key(obj)
-            _KEY_MEMO[id(obj)] = cached
+            cached = _memo_put(id(obj), _structural_key(obj))
         return cached
     return _structural_key(obj)
 
@@ -112,6 +107,10 @@ def atom_key(value) -> tuple:
         # Compare booleans among themselves as ints, but keep them in
         # their own type bucket so Atom(True) != Atom(1) sorts apart.
         return (_ATOM_KIND, 0, int(value))
+    if type_rank == 1:
+        # Atom(5) and Atom(5.0) are distinct atoms with equal numbers:
+        # the type breaks the tie, ints first.
+        return (_ATOM_KIND, 1, value, type(value) is float)
     return (_ATOM_KIND, type_rank, value)
 
 

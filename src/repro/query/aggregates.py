@@ -60,8 +60,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import is_interned as _is_interned
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import memo_put as _memo_put
 from repro.core.data import Data
 from repro.core.errors import QueryError
 from repro.core.objects import (
@@ -179,8 +180,10 @@ def Collect(path: str) -> AggregateSpec:
 # ``None`` means the fan-out exceeded _ALT_CAP and callers must degrade
 # to interval bounds over the spread (union-of-possible) values.
 
-_ALT_MEMO: dict[tuple[int, tuple[str, ...]], object] = {}
-_on_clear(_ALT_MEMO.clear)
+#: ``path_alternatives(...) is None`` is a meaningful result (fan-out
+#: past the cap), and so is a ``None`` contribution (nothing), so the
+#: caches of both need a distinct "not computed yet" marker.
+_ALT_UNSET = object()
 
 _EMPTY = ((),)
 
@@ -244,17 +247,16 @@ def path_alternatives(obj: SSObject, steps: Sequence[str]):
 
     Returns a sorted tuple of alternatives (each a canonical tuple of
     values; ``()`` is the "no value" alternative) or ``None`` when the
-    or-value fan-out exceeds the cap. Memoized identity-keyed for
-    interned objects — the memo is registered with the interning pool
-    and cleared with it.
+    or-value fan-out exceeds the cap. Kept in the identity memo
+    (:mod:`repro.core.intern`) for interned objects.
     """
     steps = tuple(steps)
     if _is_interned(obj):
-        key = (id(obj), steps)
-        cached = _ALT_MEMO.get(key)
-        if cached is None:
-            cached = _ALT_MEMO[key] = (_alts_for(obj, steps),)
-        return cached[0]
+        key = ("alternatives", id(obj), steps)
+        cached = _MEMO.get(key, _ALT_UNSET)
+        if cached is _ALT_UNSET:
+            cached = _memo_put(key, _alts_for(obj, steps))
+        return cached
     return _alts_for(obj, steps)
 
 
@@ -588,11 +590,6 @@ def _add_object(acc: Accumulator, obj: SSObject,
         acc.add_row(alternatives)
 
 
-#: ``path_alternatives(...) is None`` is a meaningful result (fan-out
-#: past the cap), and so is a ``None`` contribution (nothing), so the
-#: caches of both need a distinct "not computed yet" marker.
-_ALT_UNSET = object()
-
 #: Entries kept in a store's shared alternatives memo before it clears.
 _ALT_CACHE_CAP = 1 << 18
 
@@ -607,8 +604,10 @@ def _cached_alternatives(cache: dict, position: int, obj: SSObject,
     ancestor and residue rows at an aggregated path, and rows with an
     irregular group key, whose (row, path) pairs recur once per group
     membership and again on every re-invocation over the same store.
-    Rows are rarely interned, so the identity memo inside
-    :func:`path_alternatives` does not help. The cache is the store's
+    A :class:`~repro.store.Database` interns every row, so the identity
+    memo inside :func:`path_alternatives` serves its rows too; this
+    cache serves stores built over uninterned data, whose rows that
+    memo never keeps. The cache is the store's
     :attr:`~repro.store.ColumnStore.alt_memo` when it has one (row
     positions are stable for the store's lifetime, so entries stay
     valid across queries), else one dict per kernel call.

@@ -33,9 +33,10 @@ differential suite:
 * **nested-loop join** (``naive=True``) — the definitional O(n·m)
   oracle.
 
-Per-row key extraction (:func:`join_keys`) is memoized identity-keyed
-through the interning pool — like the ⊴/∪K signature memos — so
-repeated joins against the same generation skip the walk entirely.
+Per-row key extraction (:func:`join_keys`) is kept in the identity memo
+of :mod:`repro.core.intern` for interned rows — like ⊴, ∪K and the
+key-index signatures — so repeated joins against the same generation
+skip the walk entirely.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from typing import Sequence
 
 from repro.core.data import Data, DataSet
 from repro.core.errors import QueryError
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import is_interned as _is_interned
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import memo_put as _memo_put
 from repro.core.objects import Atom, SSObject
 from repro.core.order import DataKey
 # Unused here; perfbench counts structural_key calls per module name.
@@ -62,7 +64,6 @@ from repro.query.planner import (
     explain_plan,
     plan_join,
 )
-from repro.store.cache import LRUCache
 from repro.store.columnar import bit_positions
 
 __all__ = ["JoinRow", "JoinQuery", "join_keys", "pair_match",
@@ -76,19 +77,6 @@ class JoinRow:
     left: Data
     right: Data
     maybe: bool = False
-
-
-#: Capacity of the join-key memo below. Generous — a 100k-row join per
-#: side fits — but bounded: before the LRU the memo grew without limit
-#: for the lifetime of the intern pool.
-_KEY_MEMO_CAPACITY = 262_144
-
-#: Identity-keyed join-key memo: ``(id(obj), steps) -> (definite,
-#: possible)``. Entries are only written for interned objects (whose
-#: ids are pinned by the pool's strong references); the memo clears
-#: with the pool and evicts least-recently-used past the cap.
-_KEY_MEMO = LRUCache(_KEY_MEMO_CAPACITY)
-_on_clear(_KEY_MEMO.clear)
 
 
 def _normalize_key(value: SSObject):
@@ -120,15 +108,14 @@ def join_keys(obj: SSObject,
 
     ``definite`` keys are reached under every resolution of the row's
     or-values; ``possible`` ⊇ ``definite`` adds the keys reached under
-    some resolution. Memoized identity-keyed for interned rows.
+    some resolution. Kept in the identity memo for interned rows.
     """
     steps = tuple(steps)
     if _is_interned(obj):
-        memo_key = (id(obj), steps)
-        cached = _KEY_MEMO.get(memo_key)
+        memo_key = ("join_keys", id(obj), steps)
+        cached = _MEMO.get(memo_key)
         if cached is None:
-            cached = _keys_of(obj, steps)
-            _KEY_MEMO.put(memo_key, cached)
+            cached = _memo_put(memo_key, _keys_of(obj, steps))
         return cached
     return _keys_of(obj, steps)
 

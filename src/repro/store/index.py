@@ -29,8 +29,9 @@ from __future__ import annotations
 from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from repro.core.compatibility import compatible_data
+from repro.core.intern import MEMO as _MEMO
 from repro.core.intern import is_interned as _is_interned
-from repro.core.intern import on_clear as _on_clear
+from repro.core.intern import memo_put as _memo_put
 from repro.core.data import Data
 from repro.store.persistent import PMap
 from repro.core.objects import (
@@ -67,27 +68,21 @@ def _attr_signature(value: SSObject) -> Hashable | None:
     return None
 
 
-# Signature memo for hash-consed objects: the intern pool keeps strong
-# references, so ids stay valid; the pool's clear hook drops the memo.
-_SIG_MEMO: dict[tuple[int, frozenset[str]], Hashable] = {}
-_on_clear(_SIG_MEMO.clear)
-
-
 def signature(datum: Data, key: AbstractSet[str]) -> Hashable:
     """Classify a datum for the index.
 
     Returns a hashable signature tuple for indexable data, or one of
     :data:`NEVER_MATCHES` / :data:`UNINDEXABLE`. Signatures of interned
-    objects are memoized by identity, so rebuilding indexes over a
-    hash-consed store never re-walks an object twice.
+    objects are kept in the identity memo (:mod:`repro.core.intern`),
+    so rebuilding indexes over a hash-consed store never re-walks an
+    object twice.
     """
     obj = datum.object
     if _is_interned(obj):
-        memo_key = (id(obj), frozenset(key))
-        cached = _SIG_MEMO.get(memo_key)
+        memo_key = ("signature", id(obj), frozenset(key))
+        cached = _MEMO.get(memo_key)
         if cached is None:
-            cached = _signature_impl(obj, key)
-            _SIG_MEMO[memo_key] = cached
+            cached = _memo_put(memo_key, _signature_impl(obj, key))
         return cached
     return _signature_impl(obj, key)
 

@@ -1,12 +1,15 @@
 """Tests for the hash-consing intern pool and its cache contracts."""
 
+import importlib
+
 import pytest
 
-from repro.core.builder import iobj, obj
+from repro.core.builder import dataset, iobj, obj, tup
 from repro.core.compatibility import compatible
 from repro.core.data import Data, DataSet
 from repro.core.informativeness import less_informative
 from repro.core.intern import (
+    MEMO,
     InternPool,
     clear_pool,
     equal,
@@ -15,7 +18,6 @@ from repro.core.intern import (
     intern_dataset,
     intern_stats,
     is_interned,
-    on_clear,
 )
 from repro.core.objects import (
     BOTTOM,
@@ -26,7 +28,15 @@ from repro.core.objects import (
     PartialSet,
     Tuple,
 )
-from repro.core.operations import union
+from repro.core.operations import difference, intersection, union
+from repro.core.order import _structural_key, structural_key
+from repro.query import Query
+from repro.query.aggregates import _alts_for, path_alternatives
+from repro.query.join import _keys_of, join_keys
+from repro.store.index import _signature_impl, signature
+
+# ``repro.core.intern`` the attribute is the function; this is the module.
+intern_module = importlib.import_module("repro.core.intern")
 
 
 def nested(title="Oracle"):
@@ -129,12 +139,6 @@ class TestPoolLifecycle:
         clear_pool()
         assert not is_interned(canonical)
 
-    def test_clear_pool_fires_registered_hooks(self):
-        fired = []
-        on_clear(lambda: fired.append(True))
-        clear_pool()
-        assert fired
-
     def test_private_pool_is_independent(self):
         pool = InternPool()
         canonical = pool.intern(nested())
@@ -150,7 +154,7 @@ class TestMemoSafetyAfterClear:
     def test_memoized_answers_survive_pool_clears(self):
         # Fill memos via interned operands, clear everything, re-intern
         # (ids may or may not be recycled) and check answers still match
-        # the naive oracle — the clear hooks must have dropped the memos.
+        # the naive oracle — clear_pool must have dropped the memo.
         first, second = intern(nested("A")), intern(nested("B"))
         less_informative(first, second)
         compatible(first, second, self.K)
@@ -163,6 +167,97 @@ class TestMemoSafetyAfterClear:
             compatible(first, second, self.K, naive=True)
         assert union(first, second, self.K) == \
             union(first, second, self.K, naive=True)
+
+
+class TestIdentityMemo:
+    """The one identity memo every fast path keeps its answers in."""
+
+    K = frozenset({"A", "B"})
+    STEPS = ("author",)
+
+    def producers(self, first, second):
+        """Every memoized fast path, once over ``(first, second)``."""
+        datum = Data(Marker("m"), first)
+        return [
+            less_informative(first, second),
+            less_informative(second, first),
+            compatible(first, second, self.K),
+            union(first, second, self.K),
+            intersection(first, second, self.K),
+            difference(first, second, self.K),
+            structural_key(first),
+            signature(datum, self.K),
+            path_alternatives(first, self.STEPS),
+            join_keys(first, self.STEPS),
+        ]
+
+    def oracles(self, first, second):
+        """The same answers from the definitional code, memo-free."""
+        datum = Data(Marker("m"), first)
+        return [
+            less_informative(first, second, naive=True),
+            less_informative(second, first, naive=True),
+            compatible(first, second, self.K, naive=True),
+            union(first, second, self.K, naive=True),
+            intersection(first, second, self.K, naive=True),
+            difference(first, second, self.K, naive=True),
+            _structural_key(first),
+            _signature_impl(datum.object, self.K),
+            _alts_for(first, self.STEPS),
+            _keys_of(first, self.STEPS),
+        ]
+
+    def pair(self):
+        first = Tuple({"A": Atom("k"), "B": Atom("t"),
+                       "author": OrValue.of(Atom("Bob"), Atom("Ann"))})
+        second = Tuple({"A": Atom("k"), "B": Atom("t"),
+                        "author": PartialSet([Atom("Eve")])})
+        return first, second
+
+    def test_clear_pool_empties_the_memo(self):
+        first, second = map(intern, self.pair())
+        self.producers(first, second)
+        assert intern_stats()["memo"] == len(MEMO) > 0
+        clear_pool()
+        assert intern_stats()["memo"] == len(MEMO) == 0
+
+    def test_memo_never_passes_its_cap(self, monkeypatch):
+        cap = 8
+        monkeypatch.setattr(intern_module, "MEMO_CAP", cap)
+        clear_pool()
+        raw = [(Tuple({"A": Atom(f"k{i % 3}"), "B": Atom("t"),
+                       "author": PartialSet([Atom(i), Atom(i + 1)])}),
+                Tuple({"A": Atom(f"k{i % 2}"), "B": Atom("t"),
+                       "author": OrValue.of(Atom(i), Atom("x"))}))
+               for i in range(40)]
+        for first, second in raw:
+            expected = self.oracles(first, second)
+            assert self.producers(intern(first), intern(second)) == \
+                expected
+            assert 0 < len(MEMO) <= cap
+        # A join keys far more interned rows than the cap holds.
+        left = intern_dataset(dataset(
+            *[(f"L{i}", tup(k=f"k{i % 50}", n=i)) for i in range(200)]))
+        right = intern_dataset(dataset(
+            *[(f"R{i}", tup(k=f"k{i % 50}")) for i in range(200)]))
+        join = Query(left).join(right, on="k")
+        rows = join.rows()
+        assert len(rows) == 4 * 200
+        assert 0 < len(MEMO) <= cap
+        assert rows == join.rows(naive=True)
+
+    def test_producers_keys_never_collide(self):
+        # One interned pair through every producer twice: the second
+        # round answers from the memo, so a key two producers share
+        # would hand one of them the other's answer.
+        clear_pool()
+        first, second = self.pair()
+        expected = self.oracles(first, second)
+        canonical = intern(first), intern(second)
+        assert self.producers(*canonical) == expected
+        filled = len(MEMO)
+        assert self.producers(*canonical) == expected
+        assert len(MEMO) == filled
 
 
 class TestRejections:

@@ -21,7 +21,8 @@ from repro.core.order import (
 
 SAMPLES = [
     BOTTOM,
-    Atom(False), Atom(True), Atom(0), Atom(7), Atom(1.5), Atom("a"),
+    Atom(False), Atom(True), Atom(0), Atom(7), Atom(7.0), Atom(1.5),
+    Atom("a"),
     Atom("b"), Atom(""),
     Marker("m1"), Marker("m2"),
     OrValue([Atom(1), Atom(2)]), OrValue([Atom("x"), Marker("y")]),
@@ -51,6 +52,14 @@ class TestStructuralKey:
 
     def test_bool_and_int_atoms_do_not_collide(self):
         assert structural_key(Atom(True)) != structural_key(Atom(1))
+
+    def test_equal_int_sorts_before_equal_float(self):
+        assert structural_key(Atom(5)) < structural_key(Atom(5.0))
+        assert structural_key(Atom(4.5)) < structural_key(Atom(5)) \
+            < structural_key(Atom(5.5))
+        ints_first = [Atom(9), Atom(9.0)]
+        assert sort_objects([Atom(9.0), Atom(9)]) == ints_first
+        assert sort_objects([Atom(9), Atom(9.0)]) == ints_first
 
     def test_rejects_non_objects(self):
         with pytest.raises(TypeError):

@@ -430,21 +430,17 @@ def many_value_datasets(draw):
 
 
 def by_value(answer):
-    """``answer`` with every number read as a float and every collected
-    tuple as a set.
+    """``answer`` with every number of a min, max or sum outcome read
+    as a float.
 
-    Where equal numbers of two types tie (``5`` and ``5.0``), two
-    orders depend on the order rows fold in, so the kernel and the
-    oracle may differ in them (CHANGES.md): the type a min, max or sum
-    outcome shows (``5|6`` against ``5.0|6``), and where ``collect``
-    puts ``Atom(5)`` against ``Atom(5.0)``, whose structural keys are
-    equal. Everything else — values, kinds, ⊥, the collected atoms —
-    must agree.
+    Where equal numbers of two types tie (``5`` and ``5.0``), the type
+    such an outcome shows depends on the order rows fold in, so the
+    kernel and the oracle may differ in it (``5|6`` against ``5.0|6``).
+    Everything else — values, kinds, ⊥, the collected atoms and their
+    order (``Atom(5)`` sorts before ``Atom(5.0)``) — must agree.
     """
     if isinstance(answer, dict):
         return {key: by_value(value) for key, value in answer.items()}
-    if isinstance(answer, tuple):
-        return frozenset(answer)
     if isinstance(answer, OrValue):
         return ("or", frozenset(None if disjunct is BOTTOM
                                 else float(disjunct.value)

@@ -276,37 +276,6 @@ class TestJoins:
         join = Query(left).join(right, on="title")
         assert join.rows() == join.rows(naive=True)
 
-    def test_key_memo_is_bounded(self, monkeypatch):
-        """The identity-keyed join-key memo is an LRU: a join touching
-        far more interned rows than the capacity never grows past it
-        (before the cap it grew without limit for the pool's life)."""
-        from repro.core.intern import intern_dataset
-        from repro.query import join as join_mod
-        from repro.store.cache import LRUCache
-
-        capacity = 64
-        memo = LRUCache(capacity)
-        monkeypatch.setattr(join_mod, "_KEY_MEMO", memo)
-        left = intern_dataset(dataset(
-            *[(f"L{i}", tup(k=f"k{i % 50}", n=i)) for i in range(200)]))
-        right = intern_dataset(dataset(
-            *[(f"R{i}", tup(k=f"k{i % 50}")) for i in range(200)]))
-        rows = Query(left).join(right, on="k").rows()
-        assert len(rows) == 4 * 200
-        assert 0 < len(memo) <= capacity
-        assert join_mod._KEY_MEMO is memo  # restored by monkeypatch
-
-    def test_key_memo_clears_with_intern_pool(self):
-        from repro.core.intern import clear_pool, intern_dataset
-        from repro.query import join as join_mod
-
-        left = intern_dataset(dataset(("L1", tup(k="a"))))
-        right = intern_dataset(dataset(("R1", tup(k="a"))))
-        Query(left).join(right, on="k").rows()
-        assert len(join_mod._KEY_MEMO) > 0
-        clear_pool()
-        assert len(join_mod._KEY_MEMO) == 0
-
 
 def titled(size):
     """``size`` rows with unique titles, shredded; ``year`` and

@@ -61,24 +61,27 @@ canonical object's `id()` is never recycled while the pool lives.
 
 Interning is what unlocks the memoized **fast paths**: `⊴`
 (`less_informative`), key-compatibility (`compatible`) and the key-based
-operations (`union` / `intersection` / `difference`) each keep an
-identity-keyed memo table that is consulted only when *both* operands
-are interned. Equality between interned objects degenerates to an
-identity check (`repro.core.intern.equal`), the store's key-index
-signatures are cached per interned object, and the fast operations
-intern their results so chained operations stay in the fast regime.
+operations (`union` / `intersection` / `difference`) keep their answers
+in one identity-keyed memo that `repro.core.intern` owns beside the
+pool, consulted only when *both* operands are interned. Structural
+keys, the store's key-index signatures, path alternatives and join keys
+of interned objects live in the same memo. Equality between interned
+objects degenerates to an identity check (`repro.core.intern.equal`),
+and the fast operations intern their results so chained operations stay
+in the fast regime.
 Decoder entry points (`repro.text.parse_*`, `repro.json_codec.loads*`,
 `repro.bibtex` mapping functions) accept `intern=True`;
 `repro.store.Database` interns by default (`intern_objects=False` opts
 out).
 
 Every cached predicate and operation also accepts `naive=True`, which
-bypasses the pool and all memo tables and runs the untouched
+bypasses the pool and the memo and runs the untouched
 definitional code — the reference oracle the differential test suite
 (`tests/properties/test_differential.py`) checks the fast paths
-against. `clear_pool()` empties the pool **and** every registered memo
-table (they are registered via `repro.core.intern.on_clear`), so stale
-`id()`-keyed entries can never outlive the objects they describe.
+against. `clear_pool()` empties the pool **and** the memo in one call,
+so stale `id()`-keyed entries can never outlive the objects they
+describe; an insert empties the memo once it holds `MEMO_CAP` (2^18)
+entries, and `intern_stats()["memo"]` reports its size.
 
 ## Query planning semantics
 
