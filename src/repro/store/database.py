@@ -276,7 +276,7 @@ class Database:
     hash-consed on the way in (:mod:`repro.core.intern`): structurally
     equal objects share one canonical representative, so key-index
     signatures, compatibility checks and Definition 12 merges all hit
-    the identity-keyed memo tables. Interning preserves equality, so
+    the identity-keyed memo. Interning preserves equality, so
     lookups and results are unchanged — only faster. Pass
     ``intern_objects=False`` to store data exactly as given.
 
